@@ -19,7 +19,8 @@
 // interruption resumes exactly where the log left off — the final
 // RUN_DIR/campaign.json is byte-identical to an uninterrupted run.
 // -serve ADDR exposes the live campaign over HTTP (/status, /jobs,
-// /result) and keeps serving the finished result until interrupted.
+// /result — the per-run API -multi serves under /runs/{id}/) and keeps
+// serving the finished result until interrupted.
 //
 // -multi BASE_DIR (with -serve ADDR) starts the long-lived multi-run
 // server instead: campaigns are submitted over POST /runs, queue behind
@@ -252,40 +253,37 @@ func main() {
 			}
 		},
 	}
-	start := time.Now()
-	var sum *campaign.Summary
-	var wall time.Duration
-	switch {
-	case *serve != "":
-		svc, serr := campaign.NewService(m, cfg)
-		if serr != nil {
-			fatal(serr)
-		}
+	// Every single-run campaign runs through a Service; -serve only
+	// decides whether its HTTP API is mounted.
+	svc, err := campaign.NewService(m, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	stopServe := func() {}
+	if *serve != "" {
 		ln, lerr := net.Listen("tcp", *serve)
 		if lerr != nil {
 			fatal(lerr)
 		}
 		log.Printf("serving campaign API on http://%s (/status /jobs /result)", ln.Addr())
-		serveCtx, stopServe := context.WithCancel(context.Background())
+		serveCtx, cancelServe := context.WithCancel(context.Background())
 		serveDone := make(chan error, 1)
 		go func() { serveDone <- svc.Serve(serveCtx, ln) }()
-		sum, err = svc.Run(ctx, ck)
-		wall = time.Since(start)
-		if err == nil && ctx.Err() == nil {
-			log.Printf("campaign done; serving the result until interrupted (Ctrl-C)")
-			<-ctx.Done()
+		stopServe = func() {
+			cancelServe()
+			if serr := <-serveDone; serr != nil {
+				log.Printf("server: %v", serr)
+			}
 		}
-		stopServe()
-		if serr := <-serveDone; serr != nil {
-			log.Printf("server: %v", serr)
-		}
-	case ck != nil:
-		sum, err = ck.Run(ctx, cfg)
-		wall = time.Since(start)
-	default:
-		sum, err = campaign.Run(ctx, m, cfg)
-		wall = time.Since(start)
 	}
+	start := time.Now()
+	sum, err := svc.Run(ctx, ck)
+	wall := time.Since(start)
+	if *serve != "" && err == nil && ctx.Err() == nil {
+		log.Printf("campaign done; serving the result until interrupted (Ctrl-C)")
+		<-ctx.Done()
+	}
+	stopServe()
 	if err != nil {
 		if sum != nil {
 			fmt.Fprintf(os.Stderr, "%s", sum.Render())

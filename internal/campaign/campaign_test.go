@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -62,6 +63,13 @@ func TestExpandValidation(t *testing.T) {
 		{Circuits: []string{"c17"}, Environments: []string{"mars"}},
 		{Circuits: []string{"c17"}, Technologies: []string{"3nm"}},
 		{Circuits: []string{"c17"}, Scenarios: []Scenario{"chaos"}},
+		{Circuits: []string{"c17"}, Patterns: -5},
+		{Circuits: []string{"c17"}, Shards: -1},
+		{Circuits: []string{"c17"}, ShardThreshold: -1},
+		{Circuits: []string{"c17"}, Years: -1},
+		{Circuits: []string{"c17"}, Years: math.NaN()},
+		{Circuits: []string{"c17"}, Years: math.Inf(1)},
+		{Circuits: []string{"c17"}, Years: math.Inf(-1)},
 	}
 	for i, m := range cases {
 		if _, err := m.Expand(); err == nil {

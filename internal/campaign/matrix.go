@@ -12,6 +12,7 @@ package campaign
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"sync"
 
@@ -177,6 +178,15 @@ func coordHash(circuit, env, tech string, scen Scenario, shard int) int64 {
 func (m Matrix) Expand() ([]Job, error) {
 	if len(m.Circuits) == 0 {
 		return nil, fmt.Errorf("campaign: matrix needs at least one circuit")
+	}
+	// Zero selects a default; a negative or non-finite value is a
+	// malformed spec, not a request for the default.
+	if m.Patterns < 0 || m.Shards < 0 || m.ShardThreshold < 0 {
+		return nil, fmt.Errorf("campaign: patterns (%d), shards (%d) and shard_threshold (%d) must not be negative",
+			m.Patterns, m.Shards, m.ShardThreshold)
+	}
+	if m.Years < 0 || math.IsNaN(m.Years) || math.IsInf(m.Years, 0) {
+		return nil, fmt.Errorf("campaign: years must be finite and non-negative, got %v", m.Years)
 	}
 	envs := m.Environments
 	if len(envs) == 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -100,11 +101,13 @@ type RunsPage struct {
 	Runs   []RunInfo `json:"runs"`
 }
 
-// Server is a long-lived multi-run campaign service. Construct with
-// NewServer, expose Handler (or Serve), submit matrices over POST /runs,
-// and Shutdown to drain: active runs stop at the next stage boundary
-// with their checkpoints intact, queued runs stay durable on disk, and
-// both resume when the next server starts on the same base directory.
+// Server is a long-lived multi-run campaign service. Every run is a
+// Service, whose per-run API the server mounts under /runs/{id}.
+// Construct with NewServer, expose Handler (or Serve), submit matrices
+// over POST /runs, and Shutdown to drain: active runs stop at the next
+// stage boundary with their checkpoints intact, queued runs stay durable
+// on disk, and both resume when the next server starts on the same base
+// directory.
 type Server struct {
 	cfg   ServerConfig
 	queue *runQueue
@@ -222,7 +225,7 @@ func (s *Server) recover() error {
 		}
 		s.runs[id] = r
 		s.order = append(s.order, r)
-		if r.state == RunQueued {
+		if r.ck != nil { // unfinished: resume from the log
 			s.queue.offer(r, true) // recovery never drops a durable run
 			s.recovered++
 			obsServerRecovered.Inc()
@@ -236,35 +239,24 @@ func (s *Server) recoverRun(id int, dir string) (*serverRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &serverRun{id: id, dir: dir, matrix: m}
+	r := &serverRun{id: id, dir: dir}
 	if raw, err := os.ReadFile(filepath.Join(dir, SummaryFile)); err == nil {
-		// Completed before the previous process died: serve the durable
-		// bytes as-is — no Service, no re-execution.
-		var sum Summary
-		if err := json.Unmarshal(raw, &sum); err != nil {
-			return nil, fmt.Errorf("campaign: %s: corrupt %s: %v", dir, SummaryFile, err)
+		// Completed before the previous process died: a finished Service
+		// serves the durable bytes as-is — no re-execution.
+		if r.svc, err = recoveredService(m, s.cfg.RunConfig, raw); err != nil {
+			return nil, fmt.Errorf("campaign: %s: %v", dir, err)
 		}
-		r.state = RunDone
-		r.jobs = sum.Jobs
-		r.sum = &sum
-		r.result = raw
 		return r, nil
 	}
 	// Unfinished: hold the log (and its flock) and re-queue. Resume
 	// validates every durable record against the header's own matrix.
-	ck, err := Resume(dir, m)
-	if err != nil {
+	if r.ck, err = Resume(dir, m); err != nil {
 		return nil, err
 	}
-	svc, err := NewService(m, s.cfg.RunConfig)
-	if err != nil {
-		ck.Close()
+	if r.svc, err = NewService(m, s.cfg.RunConfig); err != nil {
+		r.ck.Close()
 		return nil, err
 	}
-	r.state = RunQueued
-	r.jobs = len(svc.jobs)
-	r.svc = svc
-	r.ck = ck
 	return r, nil
 }
 
@@ -272,7 +264,9 @@ func (s *Server) recoverRun(id int, dir string) (*serverRun, error) {
 // checkpoint header are durable before Submit returns. A full queue
 // returns ErrQueueFull; a draining server returns ErrDraining.
 func (s *Server) Submit(m Matrix) (RunInfo, error) {
-	jobs, err := m.Expand()
+	// NewService validates the spec (Matrix.Expand): its error is the
+	// client's.
+	svc, err := NewService(m, s.cfg.RunConfig)
 	if err != nil {
 		return RunInfo{}, err
 	}
@@ -294,19 +288,13 @@ func (s *Server) Submit(m Matrix) (RunInfo, error) {
 	s.mu.Unlock()
 
 	dir := filepath.Join(s.cfg.BaseDir, runDirName(id))
-	// m.Expand already validated the spec above, so failures from here on
-	// are the server's own (disk, config) — wrapped so the HTTP layer can
-	// tell them from a bad matrix.
+	// Failures from here on are the server's own (disk), wrapped so the
+	// HTTP layer can tell them from a bad matrix.
 	ck, err := NewCheckpoint(dir, m)
 	if err != nil {
 		return RunInfo{}, fmt.Errorf("%w: %v", errSubmitInternal, err)
 	}
-	svc, err := NewService(m, s.cfg.RunConfig)
-	if err != nil {
-		ck.Destroy()
-		return RunInfo{}, fmt.Errorf("%w: %v", errSubmitInternal, err)
-	}
-	r := &serverRun{id: id, dir: dir, matrix: m, jobs: len(jobs), state: RunQueued, svc: svc, ck: ck}
+	r := &serverRun{id: id, dir: dir, svc: svc, ck: ck}
 	s.mu.Lock()
 	draining := s.draining
 	if !draining {
@@ -352,9 +340,9 @@ var (
 	// ErrDraining is returned once Shutdown has begun.
 	ErrDraining = errors.New("campaign: server is draining")
 	// errSubmitInternal wraps admission failures that are the server's
-	// fault (checkpoint I/O, service construction) rather than the
-	// client's matrix — the HTTP layer answers 500, not 400, so
-	// well-behaved clients keep retrying valid specs.
+	// fault (checkpoint I/O) rather than the client's matrix — the HTTP
+	// layer answers 500, not 400, so well-behaved clients keep retrying
+	// valid specs.
 	errSubmitInternal = errors.New("campaign: run admission failed server-side")
 )
 
@@ -363,22 +351,22 @@ var (
 // next stage boundary (poll its status for the terminal "canceled").
 // Finished runs are not cancellable.
 func (s *Server) Cancel(id int) (RunInfo, error) {
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	s.mu.Unlock()
+	r, ok := s.lookup(id)
 	if !ok {
 		return RunInfo{}, errUnknownRun
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch r.state {
-	case RunQueued:
+	switch {
+	case r.cancel != nil:
+		// An executor holds the run; it stops at the next stage boundary.
+		r.userCanceled = true
+		r.cancel()
+	case r.svc.abort(errCanceledQueued):
 		// Whether or not the queue still holds it (an executor may have
-		// taken it and be blocked on r.mu right now), marking it canceled
-		// under the lock guarantees it never executes.
+		// taken it and be blocked on r.mu right now), the aborted Service
+		// guarantees it never executes.
 		s.queue.remove(r)
-		r.state = RunCanceled
-		r.errMsg = "canceled before execution"
 		if r.ck != nil {
 			r.ck.Destroy()
 			r.ck = nil
@@ -389,20 +377,15 @@ func (s *Server) Cancel(id int) (RunInfo, error) {
 			destroyRunDir(r.dir)
 		}
 		obsServerCanceled.Inc()
-	case RunRunning:
-		r.userCanceled = true
-		if r.cancel != nil {
-			r.cancel()
-		}
 	default:
-		return RunInfo{}, fmt.Errorf("campaign: run %d already %s", id, r.state)
+		state, _ := r.svc.lifecycle()
+		return RunInfo{}, fmt.Errorf("campaign: run %d already %s", id, state)
 	}
-	in := RunInfo{ID: r.id, State: r.state, Jobs: r.jobs, Dir: r.dir, Error: r.errMsg}
-	if r.svc != nil {
-		in.Results = r.svc.ResultCount()
-	}
-	return in, nil
+	return r.info(), nil
 }
+
+// errCanceledQueued is the outcome of a run DELETEd before execution.
+var errCanceledQueued = fmt.Errorf("%w before execution", context.Canceled)
 
 var errUnknownRun = errors.New("campaign: unknown run")
 
@@ -424,18 +407,17 @@ func (s *Server) executor() {
 // resumable.
 func (s *Server) execute(r *serverRun) {
 	r.mu.Lock()
-	if r.state != RunQueued { // canceled between queue and here
+	if state, _ := r.svc.lifecycle(); state != RunQueued { // canceled between queue and here
 		r.mu.Unlock()
 		return
 	}
 	runCtx, cancel := context.WithCancel(s.ctx)
-	r.state = RunRunning
 	r.cancel = cancel
-	svc, ck := r.svc, r.ck
+	ck := r.ck
 	r.mu.Unlock()
 
 	obsServerActive.Add(1)
-	_, err := svc.Run(runCtx, ck)
+	_, err := r.svc.Run(runCtx, ck)
 	obsServerActive.Add(-1)
 	cancel()
 
@@ -443,14 +425,11 @@ func (s *Server) execute(r *serverRun) {
 	defer r.mu.Unlock()
 	r.cancel = nil
 	r.ck = nil
-	switch {
-	case err == nil:
-		r.state = RunDone
+	switch runState(err) {
+	case RunDone:
 		obsServerCompleted.Inc()
 		ck.Close()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		r.state = RunCanceled
-		r.errMsg = err.Error()
+	case RunCanceled:
 		obsServerCanceled.Inc()
 		if r.userCanceled {
 			// Explicit DELETE: the tenant discarded the run; its directory
@@ -463,8 +442,6 @@ func (s *Server) execute(r *serverRun) {
 			ck.Close()
 		}
 	default:
-		r.state = RunFailed
-		r.errMsg = err.Error()
 		obsServerFailed.Inc()
 		// Keep the log: completed jobs stay durable and a restart retries
 		// only the remainder.
@@ -475,20 +452,13 @@ func (s *Server) execute(r *serverRun) {
 // Runs returns the [offset, offset+limit) admission-ordered window of
 // run listings, with the same clamping discipline as Service.Jobs.
 func (s *Server) Runs(offset, limit int) RunsPage {
-	offset, limit = clampPage(offset, limit)
 	s.mu.Lock()
 	total := len(s.order)
-	if offset > total {
-		offset = total
-	}
-	end := offset + limit
-	if end > total || end < offset {
-		end = total
-	}
-	window := make([]*serverRun, end-offset)
-	copy(window, s.order[offset:end])
+	lo, hi := pageWindow(offset, limit, total)
+	window := make([]*serverRun, hi-lo)
+	copy(window, s.order[lo:hi])
 	s.mu.Unlock()
-	page := RunsPage{Total: total, Offset: offset, Runs: make([]RunInfo, 0, len(window))}
+	page := RunsPage{Total: total, Offset: lo, Runs: make([]RunInfo, 0, len(window))}
 	for _, r := range window {
 		page.Runs = append(page.Runs, r.info())
 	}
@@ -509,27 +479,28 @@ func (s *Server) lookup(id int) (*serverRun, bool) {
 //	                           429 + Retry-After under backpressure
 //	GET    /runs             — RunsPage; query params offset, limit
 //	GET    /runs/{id}        — RunInfo
-//	GET    /runs/{id}/status — the run's ServiceStatus (state "queued"
-//	                           until an executor takes it)
-//	GET    /runs/{id}/jobs   — the run's JobsPage; offset, limit
-//	GET    /runs/{id}/result — canonical campaign.json once done;
-//	                           409 while queued/running or canceled
+//	GET    /runs/{id}/status — the run's Service API (mountRunAPI), the
+//	GET    /runs/{id}/jobs     same routes Service.Handler serves at the
+//	GET    /runs/{id}/result   root; state "queued" until an executor
+//	                           takes the run
 //	DELETE /runs/{id}        — cancel a queued or running run
 //	GET    /metrics          — process-wide obs registry (Prometheus)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", obs.Default.Handler())
-	mux.HandleFunc("POST /runs", func(w http.ResponseWriter, r *http.Request) {
-		var m Matrix
-		if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "parsing matrix spec: " + err.Error()})
-			return
+	mux.HandleFunc("POST /runs", func(w http.ResponseWriter, req *http.Request) {
+		m, err := decodeMatrix(w, req)
+		var info RunInfo
+		if err == nil {
+			info, err = s.Submit(m)
 		}
-		info, err := s.Submit(m)
+		var tooBig *http.MaxBytesError
 		switch {
 		case err == nil:
 			w.Header().Set("Location", fmt.Sprintf("/runs/%d", info.ID))
 			writeJSON(w, http.StatusAccepted, info)
+		case errors.As(err, &tooBig):
+			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
 		case errors.Is(err, ErrQueueFull):
 			w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSec))
 			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
@@ -541,155 +512,75 @@ func (s *Server) Handler() http.Handler {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		}
 	})
-	mux.HandleFunc("GET /runs", func(w http.ResponseWriter, r *http.Request) {
-		offset, err := intParam(r, "offset", 0)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
+	mux.HandleFunc("GET /runs", func(w http.ResponseWriter, req *http.Request) {
+		if offset, limit, ok := pageParams(w, req); ok {
+			writeJSON(w, http.StatusOK, s.Runs(offset, limit))
 		}
-		limit, err := intParam(r, "limit", defaultPageLimit)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, s.Runs(offset, limit))
 	})
-	mux.HandleFunc("GET /runs/{id}", s.runHandler(func(w http.ResponseWriter, _ *http.Request, r *serverRun) {
-		writeJSON(w, http.StatusOK, r.info())
-	}))
-	mux.HandleFunc("GET /runs/{id}/status", s.runHandler(func(w http.ResponseWriter, _ *http.Request, r *serverRun) {
-		writeJSON(w, http.StatusOK, s.runStatus(r))
-	}))
-	mux.HandleFunc("GET /runs/{id}/jobs", s.runHandler(func(w http.ResponseWriter, req *http.Request, r *serverRun) {
-		offset, err := intParam(req, "offset", 0)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	mux.HandleFunc("GET /runs/{id}", func(w http.ResponseWriter, req *http.Request) {
+		if r := s.runFor(w, req); r != nil {
+			writeJSON(w, http.StatusOK, r.info())
+		}
+	})
+	mux.HandleFunc("DELETE /runs/{id}", func(w http.ResponseWriter, req *http.Request) {
+		r := s.runFor(w, req)
+		if r == nil {
 			return
 		}
-		limit, err := intParam(req, "limit", defaultPageLimit)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		r.mu.Lock()
-		svc, sum := r.svc, r.sum
-		r.mu.Unlock()
-		if svc != nil {
-			writeJSON(w, http.StatusOK, svc.Jobs(offset, limit))
-			return
-		}
-		writeJSON(w, http.StatusOK, jobsPageFromSummary(sum, offset, limit))
-	}))
-	mux.HandleFunc("GET /runs/{id}/result", s.runHandler(func(w http.ResponseWriter, _ *http.Request, r *serverRun) {
-		r.mu.Lock()
-		state, svc, result := r.state, r.svc, r.result
-		r.mu.Unlock()
-		switch state {
-		case RunQueued, RunRunning:
-			writeJSON(w, http.StatusConflict, map[string]string{"state": string(state), "error": "campaign still " + string(state)})
-		case RunCanceled, RunFailed:
-			// Same contract as the per-run Service: canceled is a 409
-			// conflict with the run's state, failed a 500.
-			code := http.StatusConflict
-			if state == RunFailed {
-				code = http.StatusInternalServerError
-			}
-			writeJSON(w, code, map[string]string{"state": string(state), "error": r.info().Error})
-		default:
-			if svc != nil {
-				svc.writeResult(w)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(result)
-		}
-	}))
-	mux.HandleFunc("DELETE /runs/{id}", s.runHandler(func(w http.ResponseWriter, _ *http.Request, r *serverRun) {
 		info, err := s.Cancel(r.id)
 		if err != nil {
 			writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, info)
-	}))
+	})
+	mountRunAPI(mux, "/runs/{id}", func(w http.ResponseWriter, req *http.Request) *Service {
+		if r := s.runFor(w, req); r != nil {
+			return r.svc
+		}
+		return nil
+	})
 	return mux
 }
 
-// runHandler resolves the {id} path value to its run record.
-func (s *Server) runHandler(h func(http.ResponseWriter, *http.Request, *serverRun)) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		id, err := strconv.Atoi(req.PathValue("id"))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad run id " + req.PathValue("id")})
-			return
+// maxSubmitBytes bounds a POST /runs body; a matrix spec is a few
+// hundred bytes, so a megabyte leaves room for any real campaign.
+const maxSubmitBytes = 1 << 20
+
+// decodeMatrix reads the matrix spec of a POST /runs body: at most
+// maxSubmitBytes (an *http.MaxBytesError beyond), no unknown fields — a
+// misspelt "pattern" must not silently run at the default pattern count
+// — and nothing after the one JSON object.
+func decodeMatrix(w http.ResponseWriter, req *http.Request) (Matrix, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	var m Matrix
+	err := dec.Decode(&m)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return m, nil
 		}
-		r, ok := s.lookup(id)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown run %d", id)})
-			return
+		if err == nil {
+			err = errors.New("unexpected data after the matrix object")
 		}
-		h(w, req, r)
 	}
+	return m, fmt.Errorf("parsing matrix spec: %w", err)
 }
 
-// runStatus answers /runs/{id}/status: the per-run Service status with
-// the server's own lifecycle layered on top (a Service cannot know it
-// is still queued, and a recovered completed run has no Service at all).
-func (s *Server) runStatus(r *serverRun) ServiceStatus {
-	r.mu.Lock()
-	state, svc, sum, errMsg := r.state, r.svc, r.sum, r.errMsg
-	r.mu.Unlock()
-	if svc == nil {
-		// Recovered completed run: rebuild the status from the durable
-		// summary.
-		st := ServiceStatus{State: string(RunDone), Jobs: sum.Jobs, Completed: sum.Completed,
-			Failed: sum.Failed, Canceled: sum.Canceled, Workers: sum.Workers,
-			Quality: sum.Quality, Reliability: sum.Reliability, Safety: sum.Safety, Security: sum.Security}
-		return st
+// runFor resolves the {id} path value to its run record, answering 400
+// or 404 itself (and returning nil) when it names no run.
+func (s *Server) runFor(w http.ResponseWriter, req *http.Request) *serverRun {
+	id, err := strconv.Atoi(req.PathValue("id"))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad run id " + req.PathValue("id")})
+		return nil
 	}
-	st := svc.Status()
-	switch state {
-	case RunQueued, RunCanceled, RunFailed, RunDone:
-		// The server's lifecycle wins where the Service cannot know it:
-		// "queued" predates Run, and a run canceled before execution has
-		// a Service that never ran (it still reports "running"). For runs
-		// that did execute, both derive the state from the same error
-		// classification, so the override cannot disagree.
-		st.State = string(state)
-		if errMsg != "" && st.Error == "" {
-			st.Error = errMsg
-		}
+	r, ok := s.lookup(id)
+	if !ok {
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown run %d", id)})
+		return nil
 	}
-	return st
-}
-
-// jobsPageFromSummary rebuilds the /jobs page of a recovered completed
-// run from its durable summary (results are already job-ID sorted).
-func jobsPageFromSummary(sum *Summary, offset, limit int) JobsPage {
-	offset, limit = clampPage(offset, limit)
-	results := sum.Results
-	if offset > len(results) {
-		offset = len(results)
-	}
-	end := offset + limit
-	if end > len(results) || end < offset {
-		end = len(results)
-	}
-	page := JobsPage{Total: len(results), Offset: offset, Jobs: make([]JobStatus, 0, end-offset)}
-	for _, r := range results[offset:end] {
-		js := JobStatus{ID: r.Job.ID, Name: r.Job.Name(), Status: "ok"}
-		switch {
-		case r.Canceled:
-			js.Status = "canceled"
-			js.Error = r.Err
-		case r.Err != "":
-			js.Status = "failed"
-			js.Error = r.Err
-		}
-		page.Jobs = append(page.Jobs, js)
-	}
-	page.Count = len(page.Jobs)
-	return page
+	return r
 }
 
 // Shutdown drains the server: admission stops (503), queued runs stay
@@ -731,33 +622,5 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // cancelled, then shuts down gracefully: the server drains (Shutdown)
 // and in-flight HTTP requests get drainTimeout to finish.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: s.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-		shctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		serr := s.Shutdown(shctx)
-		herr := srv.Shutdown(shctx)
-		<-errCh
-		if serr != nil {
-			return serr
-		}
-		return herr
-	}
-}
-
-// ListenAndServe binds addr and calls Serve.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
+	return serveUntil(ctx, ln, s.Handler(), s.Shutdown)
 }

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -323,7 +325,9 @@ func TestServerCancelQueued(t *testing.T) {
 // TestServerShutdownResume pins the drain contract: Shutdown leaves
 // queued and interrupted runs durable on disk, and a new server on the
 // same base directory re-queues and finishes them — byte-identical to
-// never having been interrupted.
+// never having been interrupted. A third server serves them from disk
+// with the same /status and /jobs the live runs answered, and a run
+// DELETEd while queued never comes back.
 func TestServerShutdownResume(t *testing.T) {
 	m := testMatrix()
 	want := uninterruptedJSON(t, m)
@@ -345,6 +349,18 @@ func TestServerShutdownResume(t *testing.T) {
 	waitRunState(t, h1, running.ID, RunRunning)
 	_, body = postRun(t, h1, m)
 	queued := decode[RunInfo](t, body)
+	_, body = postRun(t, h1, m)
+	discarded := decode[RunInfo](t, body)
+	if code, body := deleteRun(t, h1, discarded.ID); code != http.StatusOK {
+		t.Fatalf("DELETE queued run: status %d (%s)", code, body)
+	}
+	if st := decode[ServiceStatus](t, second(get(t, h1, fmt.Sprintf("/runs/%d/status", discarded.ID)))); st.State != string(RunCanceled) {
+		t.Errorf("DELETEd queued run /status state %q, want canceled", st.State)
+	}
+	code, res := get(t, h1, fmt.Sprintf("/runs/%d/result", discarded.ID))
+	if code != http.StatusConflict || decode[map[string]string](t, res)["state"] != string(RunCanceled) {
+		t.Errorf("DELETEd queued run /result = %d %s, want 409 canceled", code, res)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -376,6 +392,8 @@ func TestServerShutdownResume(t *testing.T) {
 		t.Fatalf("recovered %d runs, want 2", got)
 	}
 	h2 := s2.Handler()
+	liveStatus := map[int]ServiceStatus{}
+	liveJobs := map[int]JobsPage{}
 	for _, id := range []int{running.ID, queued.ID} {
 		waitRunState(t, h2, id, RunDone)
 		code, res := get(t, h2, fmt.Sprintf("/runs/%d/result", id))
@@ -385,10 +403,13 @@ func TestServerShutdownResume(t *testing.T) {
 		if !bytes.Equal(res, want) {
 			t.Errorf("recovered run %d result differs from uninterrupted run", id)
 		}
+		liveStatus[id] = decode[ServiceStatus](t, second(get(t, h2, fmt.Sprintf("/runs/%d/status", id))))
+		liveJobs[id] = decode[JobsPage](t, second(get(t, h2, fmt.Sprintf("/runs/%d/jobs", id))))
 	}
 
-	// A third server sees them as already done (no Service, result
-	// served from disk) and recovers nothing into the queue.
+	// A third server sees them as already done (a finished Service
+	// rebuilt from campaign.json, result served from disk) and recovers
+	// nothing into the queue.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel2()
 	if err := s2.Shutdown(ctx2); err != nil {
@@ -403,17 +424,31 @@ func TestServerShutdownResume(t *testing.T) {
 	if list.Total != 2 {
 		t.Fatalf("/runs after restart lists %d runs, want 2", list.Total)
 	}
+	if code, _ := get(t, h3, fmt.Sprintf("/runs/%d", discarded.ID)); code != http.StatusNotFound {
+		t.Errorf("DELETEd queued run resurrected at restart: status %d, want 404", code)
+	}
 	for _, id := range []int{running.ID, queued.ID} {
 		code, res := get(t, h3, fmt.Sprintf("/runs/%d/result", id))
 		if code != http.StatusOK || !bytes.Equal(res, want) {
 			t.Errorf("done run %d not served from disk after restart (status %d)", id, code)
 		}
+		// Counts and rollups match the live run's; throughput and
+		// stage-cache traffic belong to the execution and are not
+		// recovered.
 		st := decode[ServiceStatus](t, second(get(t, h3, fmt.Sprintf("/runs/%d/status", id))))
-		if st.State != "done" || st.Completed != 12 {
-			t.Errorf("recovered-done run %d /status = %q/%d", id, st.State, st.Completed)
+		live := liveStatus[id]
+		live.Replayed, live.ElapsedSec, live.JobsPerSec, live.StageCache = 0, 0, 0, nil
+		if st.State != "done" || st.Completed != 12 || live.Quality == nil || live.Security == nil {
+			t.Errorf("recovered-done run %d /status = %q/%d, live rollups %+v", id, st.State, st.Completed, live)
 		}
-		page := decode[JobsPage](t, second(get(t, h3, fmt.Sprintf("/runs/%d/jobs?limit=5", id))))
-		if page.Total != 12 || page.Count != 5 {
+		if !reflect.DeepEqual(st, live) {
+			t.Errorf("recovered-done run %d /status = %+v, live %+v", id, st, live)
+		}
+		page := decode[JobsPage](t, second(get(t, h3, fmt.Sprintf("/runs/%d/jobs", id))))
+		if !reflect.DeepEqual(page, liveJobs[id]) {
+			t.Errorf("recovered-done run %d /jobs = %+v, live %+v", id, page, liveJobs[id])
+		}
+		if page.Total != 12 || page.Count != 12 {
 			t.Errorf("recovered-done run %d /jobs = total %d count %d", id, page.Total, page.Count)
 		}
 	}
@@ -463,21 +498,36 @@ func TestServerCancelRunning(t *testing.T) {
 	}
 }
 
-// TestServerRejectsBadSubmissions pins the admission validation edges.
+// TestServerRejectsBadSubmissions pins the admission validation edges:
+// every rejected body answers its status before any run directory is
+// created.
 func TestServerRejectsBadSubmissions(t *testing.T) {
 	s := newTestServer(t, ServerConfig{RunConfig: Config{Parallelism: 1}})
 	h := s.Handler()
 
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/runs", bytes.NewReader([]byte("{not json"))))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status %d, want 400", rec.Code)
-	}
-
-	// A matrix that fails Expand (no circuits) must be rejected before
-	// any run directory is created.
-	if code, _ := postRun(t, h, Matrix{}); code != http.StatusBadRequest {
-		t.Errorf("empty matrix: status %d, want 400", code)
+	valid := `{"circuits":["c17"]}`
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"malformed JSON", "{not json", http.StatusBadRequest},
+		// A matrix that fails Expand (no circuits).
+		{"empty matrix", `{"circuits":null}`, http.StatusBadRequest},
+		{"negative patterns", `{"circuits":["c17"],"patterns":-5}`, http.StatusBadRequest},
+		// A misspelt field must not silently run at the default.
+		{"unknown field", `{"circuits":["c17"],"pattern":4096}`, http.StatusBadRequest},
+		{"second object", valid + valid, http.StatusBadRequest},
+		{"trailing garbage", valid + "x", http.StatusBadRequest},
+		{"trailing brace", valid + "}", http.StatusBadRequest},
+		{"oversized spec", `{"circuits":["` + strings.Repeat("a", maxSubmitBytes) + `"]}`, http.StatusRequestEntityTooLarge},
+		{"oversized trailing space", valid + strings.Repeat(" ", maxSubmitBytes), http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/runs", strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, rec.Code, rec.Body.Bytes(), tc.want)
+		}
 	}
 	entries, err := os.ReadDir(s.cfg.BaseDir)
 	if err != nil {
@@ -501,6 +551,73 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	if _, err := NewServer(ServerConfig{}); err == nil {
 		t.Error("NewServer accepted an empty BaseDir")
 	}
+}
+
+// FuzzSubmit throws arbitrary bodies at POST /runs. Admitted runs block
+// (blockingRunConfig) and never execute, so only admission is under
+// test: every answer must be an admission outcome — 202, 400, 413, 429
+// or 503, never a panic or a 500 — and the run directories on disk must
+// be exactly the admitted runs.
+func FuzzSubmit(f *testing.F) {
+	for _, seed := range []string{
+		`{"circuits":["c17"],"scenarios":["quality"],"patterns":8}`,
+		`{"circuits":["c17","rca8"],"environments":["LEO"],"technologies":["28nm"],"years":5,"seed":3}`,
+		`{"circuits":["alu8"],"scenarios":["safety"],"shards":4,"shard_threshold":1}`,
+		`{"circuits":["c17"],"pattern":4096}`,
+		`{"circuits":["c17"]}{"circuits":["c17"]}`,
+		`{"circuits":["c17"],"years":-1}`,
+		`{"circuits":["nope"]}`,
+		`null`,
+		`{not json`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		release := make(chan struct{}) // never closed: admitted runs never finish
+		base := t.TempDir()
+		s, err := NewServer(ServerConfig{
+			BaseDir:       base,
+			QueueCapacity: 1,
+			MaxActiveRuns: 1,
+			RunConfig:     blockingRunConfig(release),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		admitted := 0
+		post := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/runs", bytes.NewReader(body)))
+			switch rec.Code {
+			case http.StatusAccepted:
+				admitted++
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+				http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			default:
+				t.Fatalf("POST /runs %q: status %d (%s)", body, rec.Code, rec.Body.Bytes())
+			}
+		}
+		// One executor plus one queue slot: a valid spec posted three
+		// times overflows into 429, and once more after the drain into 503.
+		for i := 0; i < 3; i++ {
+			post()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		post()
+		entries, err := os.ReadDir(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != admitted {
+			t.Fatalf("%d run directories for %d admitted runs (body %q)", len(entries), admitted, body)
+		}
+	})
 }
 
 // TestServerSubmitUndoKeepsRivalRun pins the undo path of a Submit that

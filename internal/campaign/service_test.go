@@ -41,13 +41,13 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 	h := svc.Handler()
 
-	// Before the run finishes, /result must refuse and /status must say
-	// running with every job accounted for.
+	// Before Run starts, /result must refuse and /status must say queued
+	// with every job accounted for.
 	if code, _ := get(t, h, "/result"); code != http.StatusConflict {
 		t.Fatalf("/result before completion: status %d, want 409", code)
 	}
 	st := decode[ServiceStatus](t, second(get(t, h, "/status")))
-	if st.State != "running" || st.Jobs != 12 || st.Pending != 12 {
+	if st.State != "queued" || st.Jobs != 12 || st.Pending != 12 {
 		t.Fatalf("initial status = %+v", st)
 	}
 
@@ -343,6 +343,52 @@ func TestResultCanceledConflict(t *testing.T) {
 	st := decode[ServiceStatus](t, second(get(t, h, "/status")))
 	if st.State != "canceled" {
 		t.Fatalf("/status state %q disagrees with /result's %q", st.State, payload["state"])
+	}
+}
+
+// TestServiceAbortQueued pins the queued end of the Service lifecycle:
+// abort ends a run that never started as canceled — on /status, on
+// /result, and for a Run that arrives afterwards, which returns the
+// abort error without executing anything — and is a no-op once the run
+// has ended.
+func TestServiceAbortQueued(t *testing.T) {
+	svc, err := NewService(testMatrix(), Config{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	if !svc.abort(errCanceledQueued) {
+		t.Fatal("abort of a queued run refused")
+	}
+	if st := decode[ServiceStatus](t, second(get(t, h, "/status"))); st.State != string(RunCanceled) || st.Error == "" {
+		t.Errorf("/status after abort = state %q error %q, want canceled with the abort error", st.State, st.Error)
+	}
+	code, body := get(t, h, "/result")
+	if code != http.StatusConflict || decode[map[string]string](t, body)["state"] != string(RunCanceled) {
+		t.Errorf("/result after abort = %d %s, want 409 canceled", code, body)
+	}
+	if _, err := svc.Run(context.Background(), nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run after abort = %v, want the context.Canceled-wrapped abort error", err)
+	}
+	if n := svc.ResultCount(); n != 0 {
+		t.Errorf("aborted run executed %d jobs", n)
+	}
+	if svc.abort(errCanceledQueued) {
+		t.Error("second abort succeeded")
+	}
+
+	done, err := NewService(testMatrix(), Config{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := done.Run(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if done.abort(errCanceledQueued) {
+		t.Error("abort of a finished run succeeded")
+	}
+	if state, _ := done.lifecycle(); state != RunDone {
+		t.Errorf("finished run state %q after a refused abort, want done", state)
 	}
 }
 

@@ -76,8 +76,10 @@ type (
 	// CampaignCheckpoint is an open crash-safe checkpoint log bound to
 	// one campaign matrix (see internal/campaign's durability layer).
 	CampaignCheckpoint = campaign.Checkpoint
-	// CampaignService exposes a running campaign over HTTP
-	// (/status, /jobs, /result) with graceful-drain shutdown.
+	// CampaignService models one campaign run from admission to result
+	// (queued, running, then done, failed or canceled) and serves the
+	// per-run HTTP API (/status, /jobs, /result) with graceful-drain
+	// shutdown; CampaignServer mounts the same API under /runs/{id}.
 	CampaignService = campaign.Service
 	// CampaignServiceStatus is the /status payload: progress counters
 	// plus the per-aspect rollups over the results so far.
