@@ -10,11 +10,11 @@ import (
 // The hotpath analyzer mechanizes PR 6's instrumentation discipline:
 // the per-gate simulation kernels carry a measured <3% observability
 // budget precisely because nothing allocates or indirects inside them.
-// Within a declared list of kernel functions in internal/sim and
-// internal/faultsim it forbids closure creation, map operations, fmt
-// use and interface-dispatched calls anywhere, and obs calls inside
-// loops (per-call aggregate flushes after the loop are the blessed
-// pattern; per-gate counter bumps are the regression to catch).
+// Within a declared list of kernel functions in internal/sim,
+// internal/faultsim and internal/atpg it forbids closure creation, map
+// operations, fmt use and interface-dispatched calls anywhere, and obs
+// calls inside loops (per-call aggregate flushes after the loop are the
+// blessed pattern; per-gate counter bumps are the regression to catch).
 
 // hotSpec declares a package's hot functions by exact name and prefix.
 type hotSpec struct {
@@ -31,6 +31,7 @@ var hotFuncs = map[string]hotSpec{
 		exact: map[string]bool{
 			"Run": true, "RunV": true, "RunWithFault": true,
 			"RunDualWithFault": true, "evalKernel": true, "RunBlock": true,
+			"RunDualEvents": true, "runEvents": true, "queueFanoutEvents": true,
 		},
 		// runConeEval covers both the word and wide cone loops
 		// (runConeEval, runConeEvalBlock); evalOp covers the scalar,
@@ -46,6 +47,11 @@ var hotFuncs = map[string]hotSpec{
 			"coneRange": true, "snapshotUndetected": true, "recordDetection": true,
 		},
 		prefix: []string{"RunCone"},
+	},
+	"rescue/internal/atpg": {
+		// PODEM's per-decision steps: incremental implication and the
+		// cone-restricted D-frontier and X-path walks.
+		exact: map[string]bool{"imply": true, "dFrontier": true, "xPathExists": true},
 	},
 }
 

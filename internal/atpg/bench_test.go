@@ -72,3 +72,30 @@ func BenchmarkATPG(b *testing.B) {
 			float64(nodrop.PODEMCalls)/float64(drop.PODEMCalls))
 	})
 }
+
+// BenchmarkClassifyFaultsMul8 times the PODEM classification of mul8's
+// collapsed fault list — the safety cross-check's critical path. It
+// reports the cost per search, the (deterministic) backtrack count and
+// the mean gates evaluated per implication step; a full dual pass
+// evaluates every combinational gate, reported as gate-evals/full-pass.
+func BenchmarkClassifyFaultsMul8(b *testing.B) {
+	n := circuits.ArrayMultiplier(8)
+	faults := fault.Collapse(n, fault.AllStuckAt(n))
+	eng, err := NewEngine(n, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	calls, backtracks := 0, 0
+	for i := 0; i < b.N; i++ {
+		for _, f := range faults {
+			eng.Generate(f)
+			calls++
+			backtracks += eng.Backtracks()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(calls), "ns/podem-call")
+	b.ReportMetric(float64(backtracks)/float64(b.N), "backtracks/op")
+	b.ReportMetric(float64(eng.implyEvals)/float64(eng.implies), "gate-evals/imply")
+	b.ReportMetric(float64(eng.c.ScheduleLen()), "gate-evals/full-pass")
+}

@@ -60,19 +60,47 @@ const DefaultBacktrackLimit = 20000
 
 // Engine generates tests for one circuit. It is not safe for concurrent
 // use; create one Engine per goroutine.
+//
+// Implication is incremental: each Generate seeds both machines with one
+// full dual pass, and every later decision re-evaluates only the fanout
+// of the primary inputs it changed (sim.RunDualEvents). The D-frontier
+// and X-path checks walk only the target fault's fanout cone, the only
+// place the two machines can differ.
 type Engine struct {
 	n       *netlist.Netlist
 	c       *sim.Compiled // shared compiled machine driving imply
 	cc      *Controllability
 	gv      []logic.V // good-machine values
 	fv      []logic.V // faulty-machine values
-	scratch []logic.V // fanin gather buffer for pin-fault evaluation
+	scratch []logic.V // fanin gather buffer for the seed pass
+	events  *sim.DualEvents
 	piVal   []logic.V // current PI assignment, indexed like n.Inputs
-	piIdx   map[int]int
+	piGate  []int32   // PI index -> gate ID
+	piIdx   []int32   // gate ID -> PI index (inputs only)
+	isOut   []bool    // gate ID -> drives a primary output
 
-	target     fault.Fault
+	// Per-search state, reused across Generate calls.
+	site      sim.FaultSite // the target fault
+	cone      *netlist.Cone // fanout cone of the fault site
+	stack     []frame
+	dirty     []int32  // PI gate IDs changed since the last imply
+	frontier  []int    // D-frontier of the current search step
+	seen      []uint32 // X-path visit marks, valid when == seenEpoch
+	seenEpoch uint32
+	walk      []int32 // X-path DFS stack
+
 	backtracks int
 	limit      int
+
+	// Implication cost, cumulative over the engine's lifetime.
+	implies, implyEvals int64
+}
+
+// frame is one PODEM decision on the search stack.
+type frame struct {
+	pi      int
+	val     logic.V
+	flipped bool
 }
 
 // NewEngine builds an ATPG engine for a combinational circuit. For
@@ -89,20 +117,33 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	ng, npi := n.NumGates(), len(n.Inputs)
 	e := &Engine{
 		n: n, c: c, cc: cc,
-		gv:      make([]logic.V, n.NumGates()),
-		fv:      make([]logic.V, n.NumGates()),
-		scratch: c.NewValueScratch(),
-		piVal:   make([]logic.V, len(n.Inputs)),
-		piIdx:   make(map[int]int, len(n.Inputs)),
-		limit:   opt.BacktrackLimit,
+		gv:       make([]logic.V, ng),
+		fv:       make([]logic.V, ng),
+		scratch:  c.NewValueScratch(),
+		events:   c.NewDualEvents(),
+		piVal:    make([]logic.V, npi),
+		piGate:   make([]int32, npi),
+		piIdx:    make([]int32, ng),
+		isOut:    make([]bool, ng),
+		stack:    make([]frame, 0, npi),
+		dirty:    make([]int32, 0, npi),
+		frontier: make([]int, 0, ng),
+		seen:     make([]uint32, ng),
+		walk:     make([]int32, 0, ng),
+		limit:    opt.BacktrackLimit,
 	}
 	if e.limit <= 0 {
 		e.limit = DefaultBacktrackLimit
 	}
 	for i, id := range n.Inputs {
-		e.piIdx[id] = i
+		e.piGate[i] = int32(id)
+		e.piIdx[id] = int32(i)
+	}
+	for _, o := range n.Outputs {
+		e.isOut[o] = true
 	}
 	return e, nil
 }
@@ -111,52 +152,18 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 // one value per primary input, with X marking don't-cares. Non-stuck-at
 // faults are skipped without searching and report NotApplicable.
 func (e *Engine) Generate(f fault.Fault) (logic.Vector, Outcome) {
+	e.backtracks = 0
 	if f.Kind != fault.StuckAt {
-		e.backtracks = 0
 		return nil, NotApplicable
 	}
-	e.target = f
-	e.backtracks = 0
-	for i := range e.piVal {
-		e.piVal[i] = logic.X
-	}
-
-	type frame struct {
-		pi      int
-		val     logic.V
-		flipped bool
-	}
-	var stack []frame
-	// backtrack flips the most recent unflipped assignment; it reports
-	// false when the whole search space is exhausted.
-	backtrack := func() (bool, Outcome) {
-		for {
-			if len(stack) == 0 {
-				return false, ProvenUntestable
-			}
-			top := &stack[len(stack)-1]
-			if !top.flipped {
-				e.backtracks++
-				if e.backtracks > e.limit {
-					return false, AbortedLimit
-				}
-				top.val = logic.Not(top.val)
-				top.flipped = true
-				e.piVal[top.pi] = top.val
-				return true, TestFound
-			}
-			e.piVal[top.pi] = logic.X
-			stack = stack[:len(stack)-1]
-		}
-	}
+	e.begin(f)
 	for {
 		e.imply()
 		switch e.state() {
 		case stateDetected:
 			return append(logic.Vector(nil), e.piVal...), TestFound
 		case stateConflict:
-			ok, why := backtrack()
-			if !ok {
+			if ok, why := e.backtrack(); !ok {
 				return nil, why
 			}
 			continue
@@ -165,8 +172,7 @@ func (e *Engine) Generate(f fault.Fault) (logic.Vector, Outcome) {
 		objGate, objVal, ok := e.objective()
 		if !ok {
 			// No achievable objective left with current assignments.
-			okBT, why := backtrack()
-			if !okBT {
+			if okBT, why := e.backtrack(); !okBT {
 				return nil, why
 			}
 			continue
@@ -174,14 +180,68 @@ func (e *Engine) Generate(f fault.Fault) (logic.Vector, Outcome) {
 		pi, v := e.backtrace(objGate, objVal)
 		if e.piVal[pi].Known() {
 			// Backtrace landed on an assigned PI: heuristic dead end.
-			okBT, why := backtrack()
-			if !okBT {
+			if okBT, why := e.backtrack(); !okBT {
 				return nil, why
 			}
 			continue
 		}
-		e.piVal[pi] = v
-		stack = append(stack, frame{pi: pi, val: v})
+		e.decide(pi, v)
+	}
+}
+
+// begin resets the search for fault f and seeds both machines with one
+// full dual pass under the all-X assignment.
+func (e *Engine) begin(f fault.Fault) {
+	e.site = sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}
+	cone, err := e.n.FanoutConeOrdered(f.Gate)
+	if err != nil {
+		panic(err) // an out-of-range fault site; safeGenerate recovers it
+	}
+	e.cone = cone
+	e.stack = e.stack[:0]
+	e.dirty = e.dirty[:0]
+	for i, id := range e.piGate {
+		e.piVal[i] = logic.X
+		e.gv[id] = logic.X
+		e.fv[id] = logic.X
+	}
+	e.c.RunDualWithFault(e.gv, e.fv, e.scratch, e.site)
+	e.implies++
+	e.implyEvals += int64(e.c.ScheduleLen())
+}
+
+// decide pushes a new unflipped assignment of primary input pi.
+func (e *Engine) decide(pi int, v logic.V) {
+	e.setPI(pi, v)
+	e.stack = append(e.stack, frame{pi: pi, val: v})
+}
+
+// setPI assigns primary input pi and queues it for the next imply.
+func (e *Engine) setPI(pi int, v logic.V) {
+	e.piVal[pi] = v
+	e.dirty = append(e.dirty, e.piGate[pi])
+}
+
+// backtrack flips the most recent unflipped assignment; it reports false
+// when the whole search space is exhausted or the limit is hit.
+func (e *Engine) backtrack() (bool, Outcome) {
+	for {
+		if len(e.stack) == 0 {
+			return false, ProvenUntestable
+		}
+		top := &e.stack[len(e.stack)-1]
+		if !top.flipped {
+			e.backtracks++
+			if e.backtracks > e.limit {
+				return false, AbortedLimit
+			}
+			top.val = logic.Not(top.val)
+			top.flipped = true
+			e.setPI(top.pi, top.val)
+			return true, TestFound
+		}
+		e.setPI(top.pi, logic.X)
+		e.stack = e.stack[:len(e.stack)-1]
 	}
 }
 
@@ -198,115 +258,124 @@ const (
 	stateUndetermined
 )
 
-// imply simulates both machines under the current PI assignment: one
-// compiled dual pass evaluating the good values into gv and the faulty
-// values (with the target fault applied) into fv.
+// imply brings both machines up to date with the PI changes since the
+// last call: the changed inputs' held values are rewritten (a PI-site
+// output fault keeps its forced faulty value) and the event kernel
+// re-evaluates only their fanout.
 func (e *Engine) imply() {
-	for i, id := range e.n.Inputs {
-		e.gv[id] = e.piVal[i]
-		e.fv[id] = e.piVal[i]
+	if len(e.dirty) == 0 {
+		return
 	}
-	f := e.target
-	e.c.RunDualWithFault(e.gv, e.fv, e.scratch,
-		sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
+	for _, id := range e.dirty {
+		v := e.piVal[e.piIdx[id]]
+		e.gv[id] = v
+		if int(id) != e.site.Gate || e.site.Pin >= 0 {
+			e.fv[id] = v
+		}
+	}
+	e.implyEvals += int64(e.c.RunDualEvents(e.gv, e.fv, e.site, e.events, e.dirty))
+	e.implies++
+	e.dirty = e.dirty[:0]
 }
 
 // faultSiteGood returns the good-machine value at the faulty line.
 func (e *Engine) faultSiteGood() logic.V {
-	if e.target.Pin < 0 {
-		return e.gv[e.target.Gate]
+	if e.site.Pin < 0 {
+		return e.gv[e.site.Gate]
 	}
-	return e.gv[e.n.Gate(e.target.Gate).Fanin[e.target.Pin]]
+	return e.gv[e.n.Gate(e.site.Gate).Fanin[e.site.Pin]]
 }
 
-// state classifies the current search position.
+// state classifies the current search position. When the fault is
+// activated it leaves the step's D-frontier in e.frontier for objective.
 func (e *Engine) state() searchState {
-	// Detected: any PO differs with both values known.
-	for _, o := range e.n.Outputs {
+	// Detected: any PO differs with both values known. Only outputs in
+	// the fault's cone can differ.
+	for _, oi := range e.cone.Outputs {
+		o := e.n.Outputs[oi]
 		if e.gv[o].Known() && e.fv[o].Known() && e.gv[o] != e.fv[o] {
 			return stateDetected
 		}
 	}
 	site := e.faultSiteGood()
-	if site.Known() && site == e.target.Value {
+	if site.Known() && site == e.site.SA {
 		return stateConflict // fault can no longer be activated
 	}
 	if site.Known() {
 		// Activated: require a non-empty D-frontier with an X-path.
-		if len(e.dFrontier()) == 0 {
-			return stateConflict
-		}
-		if !e.xPathExists() {
+		e.dFrontier()
+		if len(e.frontier) == 0 || !e.xPathExists() {
 			return stateConflict
 		}
 	}
 	return stateUndetermined
 }
 
-// dFrontier lists gates whose output is undetermined in at least one
-// machine while some fanin already carries a D/D' discrepancy. For an
-// input-pin fault the discrepancy materialises inside the faulted gate
-// (the driving net itself carries equal values in both machines), so that
-// gate seeds the frontier once the fault is activated.
-func (e *Engine) dFrontier() []int {
-	var frontier []int
-	for _, g := range e.n.Gates {
+// dFrontier collects into e.frontier, in the cone's (level, id) order,
+// the gates whose output is undetermined in at least one machine while
+// some fanin already carries a D/D' discrepancy. Discrepancies exist
+// only inside the fault's fanout cone, so only the cone is scanned. For
+// an input-pin fault the discrepancy materialises inside the faulted
+// gate (the driving net itself carries equal values in both machines),
+// so that gate — the cone's root — seeds the frontier once the fault is
+// activated.
+func (e *Engine) dFrontier() {
+	fr := e.frontier[:0]
+	gv, fv := e.gv, e.fv
+	for _, id := range e.cone.Order {
+		if gv[id].Known() && fv[id].Known() {
+			continue
+		}
+		g := e.n.Gates[id]
 		if g.Type == netlist.Input {
 			continue
 		}
-		if e.gv[g.ID].Known() && e.fv[g.ID].Known() {
-			continue
-		}
-		if e.target.Pin >= 0 && g.ID == e.target.Gate {
-			if site := e.faultSiteGood(); site.Known() && site != e.target.Value {
-				frontier = append(frontier, g.ID)
+		if e.site.Pin >= 0 && id == e.site.Gate {
+			if site := e.faultSiteGood(); site.Known() && site != e.site.SA {
+				fr = append(fr, id)
 				continue
 			}
 		}
 		for _, fi := range g.Fanin {
-			if e.gv[fi].Known() && e.fv[fi].Known() && e.gv[fi] != e.fv[fi] {
-				frontier = append(frontier, g.ID)
+			if gv[fi].Known() && fv[fi].Known() && gv[fi] != fv[fi] {
+				fr = append(fr, id)
 				break
 			}
 		}
 	}
-	return frontier
+	e.frontier = fr
 }
 
 // xPathExists checks whether any D-frontier gate reaches a primary output
-// through gates whose value is still undetermined.
+// through gates whose value is still undetermined. Reachability from a
+// gate does not depend on where the walk started, so one visit mark per
+// call serves every frontier gate.
 func (e *Engine) xPathExists() bool {
-	isOut := make(map[int]bool, len(e.n.Outputs))
-	for _, o := range e.n.Outputs {
-		isOut[o] = true
+	e.seenEpoch++
+	if e.seenEpoch == 0 {
+		clear(e.seen)
+		e.seenEpoch = 1
 	}
-	seen := make(map[int]bool)
-	var dfs func(id int) bool
-	dfs = func(id int) bool {
-		if seen[id] {
-			return false
+	seen, epoch := e.seen, e.seenEpoch
+	walk := e.walk[:0]
+	for _, id := range e.frontier {
+		if seen[id] != epoch {
+			seen[id] = epoch
+			walk = append(walk, int32(id))
 		}
-		seen[id] = true
-		if isOut[id] {
+	}
+	for len(walk) > 0 {
+		id := walk[len(walk)-1]
+		walk = walk[:len(walk)-1]
+		if e.isOut[id] {
 			return true
 		}
-		for _, fo := range e.n.Gate(id).Fanout {
-			if e.gv[fo].Known() && e.fv[fo].Known() {
+		for _, fo := range e.n.Gates[id].Fanout {
+			if seen[fo] == epoch || (e.gv[fo].Known() && e.fv[fo].Known()) {
 				continue
 			}
-			if dfs(fo) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, g := range e.dFrontier() {
-		seen = make(map[int]bool)
-		if !(e.gv[g].Known() && e.fv[g].Known()) && isOut[g] {
-			return true
-		}
-		if dfs(g) {
-			return true
+			seen[fo] = epoch
+			walk = append(walk, int32(fo))
 		}
 	}
 	return false
@@ -317,20 +386,21 @@ func (e *Engine) xPathExists() bool {
 func (e *Engine) objective() (int, logic.V, bool) {
 	site := e.faultSiteGood()
 	if !site.Known() {
-		want := logic.Not(e.target.Value)
-		gate := e.target.Gate
-		if e.target.Pin >= 0 {
-			gate = e.n.Gate(e.target.Gate).Fanin[e.target.Pin]
+		want := logic.Not(e.site.SA)
+		gate := e.site.Gate
+		if e.site.Pin >= 0 {
+			gate = e.n.Gate(e.site.Gate).Fanin[e.site.Pin]
 		}
 		return gate, want, true
 	}
-	frontier := e.dFrontier()
+	frontier := e.frontier
 	if len(frontier) == 0 {
 		return 0, logic.X, false
 	}
 	// Choose the frontier gate closest to a PO (lowest remaining depth
-	// approximated by highest level) and set one X input to the gate's
-	// non-controlling value.
+	// approximated by highest level; ties go to the lowest gate ID, the
+	// first in the frontier's (level, id) order) and set one X input to
+	// the gate's non-controlling value.
 	best := frontier[0]
 	for _, g := range frontier[1:] {
 		if e.n.Gate(g).Level > e.n.Gate(best).Level {
@@ -380,7 +450,7 @@ func (e *Engine) backtrace(gate int, val logic.V) (pi int, v logic.V) {
 	for {
 		g := e.n.Gate(id)
 		if g.Type == netlist.Input {
-			return e.piIdx[id], want
+			return int(e.piIdx[id]), want
 		}
 		switch g.Type {
 		case netlist.Not:
@@ -413,7 +483,7 @@ func (e *Engine) backtrace(gate int, val logic.V) (pi int, v logic.V) {
 			}
 		default:
 			// DFF cannot appear in a combinational engine.
-			return e.piIdx[e.n.Inputs[0]], want
+			return 0, want
 		}
 	}
 }

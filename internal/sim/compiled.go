@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"rescue/internal/logic"
 	"rescue/internal/netlist"
@@ -25,6 +26,8 @@ var obsCompiles = obs.NewCounter("sim_compiles_total", "Netlist-to-SoA machine c
 //     fanin gate IDs of gate id, pin order preserved),
 //   - the levelized evaluation schedule (the combinational gate IDs in
 //     (level, id) order — exactly the gates one full pass evaluates),
+//   - a flat combinational fanout arena and a per-gate level, which drive
+//     the event-driven passes (RunDualEvents, Evaluator.PropagateFrom),
 //   - and the input/output/DFF index slices,
 //
 // so the inner loops are closure-free slice walks over int32 indices.
@@ -44,11 +47,17 @@ type Compiled struct {
 	faninOff []int32  // len NumGates+1: prefix offsets into fanin
 	fanin    []int32  // flat fanin arena
 	schedule []int32  // combinational gate IDs in (level, id) order
-	inputs   []int32  // primary input gate IDs in declaration order
-	outputs  []int32  // primary output gate IDs in declaration order
-	dffs     []int32  // DFF gate IDs in declaration order
-	identity []int32  // 0..maxFanin-1: evaluates gathered values through evalOp{W,V}
-	maxFanin int
+	level    []int32  // per gate ID: combinational level
+	maxLevel int32
+	// fanout[fanoutOff[id]:fanoutOff[id+1]] lists the distinct
+	// combinational readers of gate id (DFF readers are sequential cuts).
+	fanoutOff []int32
+	fanout    []int32
+	inputs    []int32 // primary input gate IDs in declaration order
+	outputs   []int32 // primary output gate IDs in declaration order
+	dffs      []int32 // DFF gate IDs in declaration order
+	identity  []int32 // 0..maxFanin-1: evaluates gathered values through evalOp{W,V}
+	maxFanin  int
 }
 
 // opcode is the compiled per-gate operation: the gate type fused with
@@ -183,11 +192,50 @@ func compile(n *netlist.Netlist) (*Compiled, error) {
 			c.schedule = append(c.schedule, int32(id))
 		}
 	}
+	c.compileFanout()
 	c.identity = make([]int32, c.maxFanin)
 	for i := range c.identity {
 		c.identity[i] = int32(i)
 	}
 	return c, nil
+}
+
+// compileFanout builds the per-gate level and the deduplicated
+// combinational fanout arena from the fanin arena.
+func (c *Compiled) compileFanout() {
+	ng := len(c.code)
+	c.level = make([]int32, ng)
+	c.fanoutOff = make([]int32, ng+1)
+	for _, id := range c.schedule {
+		fan := c.fanin[c.faninOff[id]:c.faninOff[id+1]]
+		for _, f := range fan {
+			if l := c.level[f] + 1; l > c.level[id] {
+				c.level[id] = l
+			}
+		}
+		if c.level[id] > c.maxLevel {
+			c.maxLevel = c.level[id]
+		}
+		for i, f := range fan {
+			if !slices.Contains(fan[:i], f) {
+				c.fanoutOff[f+1]++
+			}
+		}
+	}
+	for id := 0; id < ng; id++ {
+		c.fanoutOff[id+1] += c.fanoutOff[id]
+	}
+	c.fanout = make([]int32, c.fanoutOff[ng])
+	next := append([]int32(nil), c.fanoutOff[:ng]...)
+	for _, id := range c.schedule {
+		fan := c.fanin[c.faninOff[id]:c.faninOff[id+1]]
+		for i, f := range fan {
+			if !slices.Contains(fan[:i], f) {
+				c.fanout[next[f]] = id
+				next[f]++
+			}
+		}
+	}
 }
 
 func toInt32(s []int) []int32 {
@@ -355,17 +403,6 @@ func (c *Compiled) RunV(values []logic.V) {
 	for _, id := range c.schedule {
 		values[id] = evalOpV(c.code[id], fanin[off[id]:off[id+1]], values)
 	}
-}
-
-// EvalGateV evaluates the single gate id from the scalar value array.
-// Input/DFF gates return their held value. Event-driven propagators
-// (Evaluator.PropagateFrom) use it for closure-free re-evaluation.
-func (c *Compiled) EvalGateV(id int, values []logic.V) logic.V {
-	op := c.code[id]
-	if op == opHold {
-		return values[id]
-	}
-	return evalOpV(op, c.fanin[c.faninOff[id]:c.faninOff[id+1]], values)
 }
 
 // EvalGateVals evaluates the single combinational gate id from

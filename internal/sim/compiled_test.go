@@ -256,7 +256,7 @@ func TestKernelVariantsAgree(t *testing.T) {
 			g := n.Gate(id)
 			getV := func(i int) logic.V { return vals[i] }
 			getW := func(i int) logic.Word { return words[i] }
-			if got, want := c.EvalGateV(id, vals), EvalGate(g, getV); got != want {
+			if got, want := evalOpV(c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]], vals), EvalGate(g, getV); got != want {
 				t.Fatalf("spec %d: compiled scalar %v != generic %v", gi, got, want)
 			}
 			gathered := scratchV[:len(g.Fanin)]

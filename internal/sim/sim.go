@@ -17,6 +17,7 @@ type Evaluator struct {
 	N      *netlist.Netlist
 	c      *Compiled
 	values []logic.V
+	events eventQueue // PropagateFrom's queue, built on first use
 }
 
 // New constructs an Evaluator. All values start at X.
@@ -158,43 +159,10 @@ func (e *Evaluator) Step(inputs logic.Vector) logic.Vector {
 // fault injection or an SEU flip). Only the fanout cones are re-evaluated.
 // It returns the number of gates whose value changed.
 func (e *Evaluator) PropagateFrom(changed ...int) int {
-	// Process in level order using a simple bucket queue.
-	maxLvl := e.N.MaxLevel()
-	buckets := make([][]int, maxLvl+1)
-	inQueue := make(map[int]bool, len(changed)*4)
-	schedule := func(id int) {
-		if !inQueue[id] {
-			inQueue[id] = true
-			lvl := e.N.Gate(id).Level
-			buckets[lvl] = append(buckets[lvl], id)
-		}
+	if e.events.slot == nil {
+		e.events = e.c.newEventQueue()
 	}
-	for _, id := range changed {
-		for _, fo := range e.N.Gate(id).Fanout {
-			if g := e.N.Gate(fo); g.Type != netlist.DFF {
-				schedule(fo)
-			}
-		}
-	}
-	events := 0
-	for lvl := 0; lvl <= maxLvl; lvl++ {
-		for i := 0; i < len(buckets[lvl]); i++ {
-			id := buckets[lvl][i]
-			g := e.N.Gate(id)
-			nv := e.c.EvalGateV(id, e.values)
-			if nv == e.values[id] {
-				continue
-			}
-			e.values[id] = nv
-			events++
-			for _, fo := range g.Fanout {
-				if fg := e.N.Gate(fo); fg.Type != netlist.DFF {
-					schedule(fo)
-				}
-			}
-		}
-	}
-	return events
+	return e.c.runEvents(e.values, &e.events, changed)
 }
 
 // SetValue overrides a gate value directly (used for fault/SEU injection
