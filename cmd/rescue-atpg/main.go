@@ -98,7 +98,7 @@ func main() {
 	if *timing != "" {
 		// Bench-schema Result with the pre-schema flat field names
 		// aliased at the top level, so existing parsers keep working.
-		tr := bench.New("atpg", 1)
+		tr := bench.New("atpg")
 		tr.Params = map[string]any{
 			"circuit": *circuit,
 			"no_drop": *noDrop,

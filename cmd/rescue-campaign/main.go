@@ -301,7 +301,7 @@ func main() {
 		// a bench-schema Result with the pre-schema flat field names
 		// (jobs, wall_ms, jobs_per_sec, ...) aliased at the top level.
 		executed := sum.Jobs - replayed
-		res := bench.New("campaign", 1)
+		res := bench.New("campaign")
 		res.Metrics["jobs"] = float64(sum.Jobs)
 		res.Metrics["jobs_replayed"] = float64(replayed)
 		res.Metrics["jobs_executed"] = float64(executed)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rescue/internal/circuits"
 	"rescue/internal/fault"
@@ -74,6 +75,79 @@ func TestExpandValidation(t *testing.T) {
 	for i, m := range cases {
 		if _, err := m.Expand(); err == nil {
 			t.Errorf("case %d: invalid matrix expanded without error", i)
+		}
+	}
+}
+
+// TestExpandAdmissionCeilings pins the ceilings Expand enforces before
+// it allocates anything that scales with the spec: MaxPatterns, and
+// MaxJobs counted from the list lengths (duplicates allowed) and the
+// per-circuit shard counts. Each hostile shape is rejected with an
+// error naming the limit, fast and without a large allocation; a matrix
+// of exactly MaxJobs jobs is still admitted.
+func TestExpandAdmissionCeilings(t *testing.T) {
+	const n = 100_000
+	circs := make([]string, n)
+	envs := make([]string, n)
+	for i := range circs {
+		circs[i], envs[i] = "c17", "LEO"
+	}
+	for name, m := range map[string]Matrix{
+		"patterns":      {Circuits: []string{"c17"}, Patterns: 1 << 40},
+		"cross product": {Circuits: circs, Environments: envs},
+		"shards":        {Circuits: circs, Shards: 1 << 20, ShardThreshold: 1},
+	} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err := m.Expand()
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%s: Expand error = %v, want a rejection naming the limit", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Errorf("%s: Expand allocated %d bytes before rejecting", name, alloc)
+		}
+		if elapsed > 5*time.Second {
+			t.Errorf("%s: Expand took %v to reject", name, elapsed)
+		}
+	}
+
+	edge := Matrix{Circuits: circs[:256], Environments: envs[:MaxJobs/256]}
+	jobs, err := edge.Expand()
+	if err != nil || len(jobs) != MaxJobs {
+		t.Fatalf("a matrix of exactly MaxJobs jobs: %d jobs, err %v", len(jobs), err)
+	}
+	edge.Circuits = circs[:257]
+	if _, err := edge.Expand(); err == nil {
+		t.Error("a matrix of MaxJobs+256 jobs was admitted")
+	}
+	if _, err := (Matrix{Circuits: []string{"c17"}, Patterns: MaxPatterns}).Expand(); err != nil {
+		t.Errorf("patterns at MaxPatterns rejected: %v", err)
+	}
+}
+
+// TestJobCountMatchesExpand pins the arithmetic job count the ceiling
+// is checked against to the enumeration it stands for, over mixes of
+// sharded, unsharded and security jobs: Expand sizes its slice with
+// that count, so an exact count leaves no spare capacity and never
+// regrows.
+func TestJobCountMatchesExpand(t *testing.T) {
+	for _, m := range []Matrix{
+		testMatrix(),
+		{Circuits: []string{"alu8", "c17", "alu8"}, Environments: []string{"LEO", "GEO"},
+			Technologies: TechnologyNames(), Scenarios: []Scenario{ScenarioQuality, ScenarioSecurity, ScenarioHolistic},
+			Shards: 4, ShardThreshold: 100},
+		{Circuits: circuits.Names(), Scenarios: []Scenario{ScenarioReliability}, Shards: 1000, ShardThreshold: 1},
+	} {
+		jobs, err := m.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(jobs) != len(jobs) {
+			t.Errorf("Expand sized for %d jobs, enumerated %d, for %+v", cap(jobs), len(jobs), m)
 		}
 	}
 }

@@ -128,6 +128,18 @@ type Matrix struct {
 // ShardThreshold zero.
 const DefaultShardThreshold = 512
 
+// Admission ceilings. Expand rejects a matrix above either one before
+// allocating anything that scales with it, so a hostile or mistyped
+// spec cannot make the engine or the server allocate without bound.
+// Both sit at 16x or more the largest matrix the repository itself
+// runs (4096 patterns per job; about a thousand jobs).
+const (
+	// MaxPatterns caps Matrix.Patterns, the vectors each job draws.
+	MaxPatterns = 1 << 16
+	// MaxJobs caps the number of jobs one matrix expands into.
+	MaxJobs = 1 << 16
+)
+
 // Job is one cell of the expanded matrix. Its seed is derived from the
 // coordinates alone, never from scheduling order, so any worker executing
 // it at any parallelism level computes the same result.
@@ -184,6 +196,9 @@ func (m Matrix) Expand() ([]Job, error) {
 	if m.Patterns < 0 || m.Shards < 0 || m.ShardThreshold < 0 {
 		return nil, fmt.Errorf("campaign: patterns (%d), shards (%d) and shard_threshold (%d) must not be negative",
 			m.Patterns, m.Shards, m.ShardThreshold)
+	}
+	if m.Patterns > MaxPatterns {
+		return nil, fmt.Errorf("campaign: patterns (%d) exceeds the limit of %d", m.Patterns, MaxPatterns)
 	}
 	if m.Years < 0 || math.IsNaN(m.Years) || math.IsInf(m.Years, 0) {
 		return nil, fmt.Errorf("campaign: years must be finite and non-negative, got %v", m.Years)
@@ -244,7 +259,11 @@ func (m Matrix) Expand() ([]Job, error) {
 		}
 		shardsFor[c] = shards
 	}
-	var jobs []Job
+	n := jobCount(m.Circuits, shardsFor, capMul(len(envs), len(techs)), scens)
+	if n > MaxJobs {
+		return nil, fmt.Errorf("campaign: matrix expands to more than %d jobs (the limit)", MaxJobs)
+	}
+	jobs := make([]Job, 0, n)
 	for _, c := range m.Circuits {
 		for _, e := range envs {
 			for _, t := range techs {
@@ -274,6 +293,36 @@ func (m Matrix) Expand() ([]Job, error) {
 		}
 	}
 	return jobs, nil
+}
+
+// jobCount is the number of jobs Expand enumerates, computed from the
+// list lengths and per-circuit shard counts alone. It saturates just above MaxJobs, so no product
+// or sum can overflow however long the lists are.
+func jobCount(circs []string, shardsFor map[string]int, envTechs int, scens []Scenario) int {
+	sharded, security := 0, 0
+	for _, s := range scens {
+		if s == ScenarioSecurity {
+			security++
+		} else {
+			sharded++
+		}
+	}
+	total := 0
+	for _, c := range circs {
+		total += capMul(envTechs, capMul(sharded, shardsFor[c])+security)
+		if total > MaxJobs {
+			break
+		}
+	}
+	return total
+}
+
+// capMul is a*b for non-negative operands, capped at MaxJobs+1.
+func capMul(a, b int) int {
+	if a != 0 && b > MaxJobs/a {
+		return MaxJobs + 1
+	}
+	return a * b
 }
 
 // flowNetlist builds the job's netlist, converting sequential circuits to

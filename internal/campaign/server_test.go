@@ -498,6 +498,17 @@ func TestServerCancelRunning(t *testing.T) {
 	}
 }
 
+// hugePatternsBody asks for 2^40 patterns per job.
+const hugePatternsBody = `{"circuits":["c17"],"patterns":1099511627776}`
+
+// crossProductBody lists c17 and LEO n times each. Duplicates are
+// legal, so the body asks for n*n jobs; at n = 80000 it still fits
+// under maxSubmitBytes.
+func crossProductBody(n int) string {
+	return `{"circuits":["c17"` + strings.Repeat(`,"c17"`, n-1) +
+		`],"environments":["LEO"` + strings.Repeat(`,"LEO"`, n-1) + `]}`
+}
+
 // TestServerRejectsBadSubmissions pins the admission validation edges:
 // every rejected body answers its status before any run directory is
 // created.
@@ -515,6 +526,9 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		// A matrix that fails Expand (no circuits).
 		{"empty matrix", `{"circuits":null}`, http.StatusBadRequest},
 		{"negative patterns", `{"circuits":["c17"],"patterns":-5}`, http.StatusBadRequest},
+		// Within the byte cap but over an admission ceiling.
+		{"huge patterns", hugePatternsBody, http.StatusBadRequest},
+		{"huge cross product", crossProductBody(80_000), http.StatusBadRequest},
 		// A misspelt field must not silently run at the default.
 		{"unknown field", `{"circuits":["c17"],"pattern":4096}`, http.StatusBadRequest},
 		{"second object", valid + valid, http.StatusBadRequest},
@@ -570,6 +584,8 @@ func FuzzSubmit(f *testing.F) {
 		`null`,
 		`{not json`,
 		``,
+		hugePatternsBody,
+		crossProductBody(300),
 	} {
 		f.Add([]byte(seed))
 	}

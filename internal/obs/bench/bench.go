@@ -1,24 +1,19 @@
-// Package bench defines the machine-readable benchmark schema every
-// RESCUE wall-clock measurement reports in: one Result per measured run,
-// carrying named numeric metrics plus full provenance (git commit, host,
-// Go version, iteration count), serialised as BENCH_*.json trajectory
-// files that the CI regression gate compares against.
+// Package bench is the -timing writer of rescue-campaign and
+// rescue-atpg: one Result per run, carrying named numeric metrics plus
+// the provenance of the run (git commit, host, Go version), written as
+// a single JSON object with the pre-schema flat field names aliased at
+// the top level (WriteLegacy), so pre-schema consumers keep parsing.
 //
-// A trajectory file is a JSON array of Results, oldest first; the gate
-// compares a freshly measured Result against the newest committed point.
-// The -timing outputs of rescue-campaign and rescue-atpg emit a single
-// Result object with the legacy flat field names aliased at the top
-// level (WriteLegacy), so pre-schema consumers keep parsing.
+// End-to-end benchmarking lives in perfbench (see BENCHMARK.json); this
+// package only records what one CLI run measured.
 package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
 	"os/exec"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 )
@@ -27,7 +22,7 @@ import (
 const Schema = "rescue-bench/v1"
 
 // Provenance records where and when a measurement ran — the facts needed
-// to judge whether two trajectory points are comparable.
+// to judge whether two measurements are comparable.
 type Provenance struct {
 	GitCommit string `json:"git_commit"`
 	GitDirty  bool   `json:"git_dirty,omitempty"`
@@ -39,13 +34,12 @@ type Provenance struct {
 	Timestamp string `json:"timestamp,omitempty"` // RFC3339, UTC
 }
 
-// Result is one benchmark measurement: a named set of numeric metrics
-// plus the provenance of the run that produced them. Params carries
+// Result is one run's measurement: a named set of numeric metrics plus
+// the provenance of the run that produced them. Params carries
 // non-numeric run configuration (circuit name, flags).
 type Result struct {
 	Schema     string             `json:"schema"`
 	Name       string             `json:"name"`
-	Iterations int                `json:"iterations,omitempty"`
 	Params     map[string]any     `json:"params,omitempty"`
 	Metrics    map[string]float64 `json:"metrics"`
 	Provenance Provenance         `json:"provenance"`
@@ -54,7 +48,7 @@ type Result struct {
 // CollectProvenance gathers the running process's provenance. The git
 // commit comes from `git rev-parse HEAD` in dir ("" = cwd) and degrades
 // to "unknown" outside a work tree — a measurement is still usable
-// without it, just not gateable against a committed trajectory.
+// without it, just not attributable to a commit.
 func CollectProvenance(dir string) Provenance {
 	p := Provenance{
 		GitCommit: "unknown",
@@ -87,64 +81,13 @@ func gitOutput(dir string, args ...string) (string, error) {
 }
 
 // New returns a Result shell with schema, name and provenance filled in.
-func New(name string, iterations int) *Result {
+func New(name string) *Result {
 	return &Result{
 		Schema:     Schema,
 		Name:       name,
-		Iterations: iterations,
 		Metrics:    make(map[string]float64),
 		Provenance: CollectProvenance(""),
 	}
-}
-
-// ReadTrajectory parses a trajectory file: either a JSON array of
-// Results (the committed BENCH_*.json shape) or a single Result object
-// (a -timing output). It returns the points oldest-first.
-func ReadTrajectory(path string) ([]Result, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseTrajectory(raw)
-}
-
-// ParseTrajectory decodes trajectory bytes (array or single object).
-func ParseTrajectory(raw []byte) ([]Result, error) {
-	trimmed := strings.TrimSpace(string(raw))
-	if strings.HasPrefix(trimmed, "[") {
-		var pts []Result
-		if err := json.Unmarshal(raw, &pts); err != nil {
-			return nil, fmt.Errorf("bench: parsing trajectory: %v", err)
-		}
-		return pts, nil
-	}
-	var pt Result
-	if err := json.Unmarshal(raw, &pt); err != nil {
-		return nil, fmt.Errorf("bench: parsing result: %v", err)
-	}
-	return []Result{pt}, nil
-}
-
-// WriteTrajectory writes points as an indented JSON array.
-func WriteTrajectory(path string, pts []Result) error {
-	raw, err := json.MarshalIndent(pts, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// AppendTrajectory appends pt to the trajectory at path, creating the
-// file when missing.
-func AppendTrajectory(path string, pt *Result) error {
-	pts, err := ReadTrajectory(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			return err
-		}
-		pts = nil
-	}
-	return WriteTrajectory(path, append(pts, *pt))
 }
 
 // MarshalLegacy serialises a Result with its metrics and params aliased
@@ -164,9 +107,7 @@ func MarshalLegacy(r *Result) ([]byte, error) {
 	flat["num_cpu"] = r.Provenance.NumCPU
 	flat["schema"] = r.Schema
 	flat["name"] = r.Name
-	if r.Iterations > 0 {
-		flat["iterations"] = r.Iterations
-	}
+	flat["iterations"] = 1 // a -timing file records exactly one run
 	flat["metrics"] = r.Metrics
 	if len(r.Params) > 0 {
 		flat["params"] = r.Params
@@ -191,144 +132,4 @@ func WriteLegacy(path string, r *Result) error {
 		return err
 	}
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// Median condenses a trajectory into one robust baseline point: each
-// metric is the median of its values across the points that carry it
-// (mean of the middle two for even counts), so one anomalously fast or
-// slow committed point — a quiet runner, a noisy neighbour — cannot
-// skew the regression gate the way gating against the newest point
-// alone did. Name, schema, params and provenance come from the newest
-// point; Iterations is the newest point's too (a per-run fact with no
-// meaningful aggregate). Nil for an empty trajectory.
-func Median(pts []Result) *Result {
-	if len(pts) == 0 {
-		return nil
-	}
-	newest := pts[len(pts)-1]
-	out := &Result{
-		Schema:     newest.Schema,
-		Name:       newest.Name,
-		Iterations: newest.Iterations,
-		Params:     newest.Params,
-		Metrics:    make(map[string]float64, len(newest.Metrics)),
-		Provenance: newest.Provenance,
-	}
-	keys := make(map[string]bool)
-	for _, pt := range pts {
-		for k := range pt.Metrics {
-			keys[k] = true
-		}
-	}
-	for k := range keys {
-		var vals []float64
-		for _, pt := range pts {
-			if v, ok := pt.Metrics[k]; ok {
-				vals = append(vals, v)
-			}
-		}
-		sort.Float64s(vals)
-		mid := len(vals) / 2
-		if len(vals)%2 == 1 {
-			out.Metrics[k] = vals[mid]
-		} else {
-			out.Metrics[k] = (vals[mid-1] + vals[mid]) / 2
-		}
-	}
-	return out
-}
-
-// Direction states which way a metric is allowed to move.
-type Direction int
-
-const (
-	// HigherIsBetter gates a throughput-style metric (jobs_per_sec).
-	HigherIsBetter Direction = iota
-	// LowerIsBetter gates a cost-style metric (ns_per_gate_eval).
-	LowerIsBetter
-)
-
-// GateSpec selects one metric for regression gating.
-type GateSpec struct {
-	Metric    string
-	Direction Direction
-	// Tolerance is the allowed relative regression (0.25 = 25% worse
-	// than baseline before the gate trips) — the noise threshold for
-	// shared CI runners.
-	Tolerance float64
-}
-
-// ParseGateSpec parses "metric:higher:0.25" / "metric:lower:0.25"
-// (tolerance optional, default 0.25).
-func ParseGateSpec(s string) (GateSpec, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) < 2 || len(parts) > 3 || parts[0] == "" {
-		return GateSpec{}, fmt.Errorf("bench: bad gate spec %q (want metric:higher|lower[:tolerance])", s)
-	}
-	g := GateSpec{Metric: parts[0], Tolerance: 0.25}
-	switch parts[1] {
-	case "higher":
-		g.Direction = HigherIsBetter
-	case "lower":
-		g.Direction = LowerIsBetter
-	default:
-		return GateSpec{}, fmt.Errorf("bench: bad gate direction %q in %q", parts[1], s)
-	}
-	if len(parts) == 3 {
-		var tol float64
-		if _, err := fmt.Sscanf(parts[2], "%g", &tol); err != nil || tol < 0 {
-			return GateSpec{}, fmt.Errorf("bench: bad gate tolerance %q in %q", parts[2], s)
-		}
-		g.Tolerance = tol
-	}
-	return g, nil
-}
-
-// Violation reports one gated metric that regressed beyond tolerance.
-type Violation struct {
-	Metric   string
-	Baseline float64
-	Current  float64
-	// Regression is the relative change in the bad direction (0.3 =
-	// 30% worse than baseline).
-	Regression float64
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("%s regressed %.1f%%: baseline %g, current %g",
-		v.Metric, v.Regression*100, v.Baseline, v.Current)
-}
-
-// Compare gates current against baseline. Specs naming a metric absent
-// from either result are skipped (reported in the skipped list) — a new
-// metric cannot fail a gate before its first trajectory point is
-// committed.
-func Compare(baseline, current *Result, specs []GateSpec) (violations []Violation, skipped []string) {
-	for _, g := range specs {
-		base, okB := baseline.Metrics[g.Metric]
-		cur, okC := current.Metrics[g.Metric]
-		if !okB || !okC {
-			skipped = append(skipped, g.Metric)
-			continue
-		}
-		if base == 0 {
-			skipped = append(skipped, g.Metric)
-			continue
-		}
-		var reg float64
-		switch g.Direction {
-		case HigherIsBetter:
-			reg = (base - cur) / base
-		case LowerIsBetter:
-			reg = (cur - base) / base
-		}
-		if reg > g.Tolerance {
-			violations = append(violations, Violation{
-				Metric: g.Metric, Baseline: base, Current: cur, Regression: reg,
-			})
-		}
-	}
-	sort.Slice(violations, func(i, j int) bool { return violations[i].Metric < violations[j].Metric })
-	sort.Strings(skipped)
-	return violations, skipped
 }

@@ -2,62 +2,14 @@ package bench
 
 import (
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func point(name string, metrics map[string]float64) *Result {
-	r := New(name, 3)
-	for k, v := range metrics {
-		r.Metrics[k] = v
-	}
-	return r
-}
-
-func TestTrajectoryRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_test.json")
-	p1 := point("campaign", map[string]float64{"jobs_per_sec": 16.5})
-	if err := AppendTrajectory(path, p1); err != nil {
-		t.Fatal(err)
-	}
-	p2 := point("campaign", map[string]float64{"jobs_per_sec": 17.1})
-	if err := AppendTrajectory(path, p2); err != nil {
-		t.Fatal(err)
-	}
-	pts, err := ReadTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("trajectory has %d points, want 2", len(pts))
-	}
-	if pts[0].Metrics["jobs_per_sec"] != 16.5 || pts[1].Metrics["jobs_per_sec"] != 17.1 {
-		t.Errorf("points out of order: %v", pts)
-	}
-	if pts[0].Schema != Schema || pts[0].Name != "campaign" {
-		t.Errorf("schema fields lost: %+v", pts[0])
-	}
-}
-
-func TestReadTrajectorySingleObject(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "timing.json")
-	if err := WriteLegacy(path, point("campaign", map[string]float64{"wall_ms": 120})); err != nil {
-		t.Fatal(err)
-	}
-	pts, err := ReadTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 1 || pts[0].Metrics["wall_ms"] != 120 {
-		t.Errorf("single-object trajectory = %+v", pts)
-	}
-}
-
 func TestLegacyAliases(t *testing.T) {
-	r := point("campaign", map[string]float64{"jobs_per_sec": 16.5, "jobs": 24})
+	r := New("campaign")
+	r.Metrics["jobs_per_sec"] = 16.5
+	r.Metrics["jobs"] = 24
 	r.Params = map[string]any{"circuit": "mul8"}
 	raw, err := MarshalLegacy(r)
 	if err != nil {
@@ -67,67 +19,10 @@ func TestLegacyAliases(t *testing.T) {
 	// Old consumers read flat top-level keys; new ones read .metrics.
 	for _, want := range []string{
 		`"jobs_per_sec": 16.5`, `"jobs": 24`, `"circuit": "mul8"`,
-		`"schema": "rescue-bench/v1"`, `"metrics"`, `"provenance"`, `"num_cpu"`,
+		`"schema": "rescue-bench/v1"`, `"iterations": 1`, `"metrics"`, `"provenance"`, `"num_cpu"`,
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("legacy output missing %s in:\n%s", want, s)
-		}
-	}
-}
-
-func TestCompareGates(t *testing.T) {
-	base := point("campaign", map[string]float64{"jobs_per_sec": 20, "ns_per_gate_eval": 10})
-	specs := []GateSpec{
-		{Metric: "jobs_per_sec", Direction: HigherIsBetter, Tolerance: 0.25},
-		{Metric: "ns_per_gate_eval", Direction: LowerIsBetter, Tolerance: 0.25},
-		{Metric: "not_measured_yet", Direction: HigherIsBetter, Tolerance: 0.25},
-	}
-
-	ok := point("campaign", map[string]float64{"jobs_per_sec": 16, "ns_per_gate_eval": 12})
-	v, skipped := Compare(base, ok, specs)
-	if len(v) != 0 {
-		t.Errorf("within-tolerance run violated: %v", v)
-	}
-	if len(skipped) != 1 || skipped[0] != "not_measured_yet" {
-		t.Errorf("skipped = %v", skipped)
-	}
-
-	bad := point("campaign", map[string]float64{"jobs_per_sec": 10, "ns_per_gate_eval": 20})
-	v, _ = Compare(base, bad, specs)
-	if len(v) != 2 {
-		t.Fatalf("regressed run: %d violations, want 2: %v", len(v), v)
-	}
-	if v[0].Metric != "jobs_per_sec" && v[1].Metric != "jobs_per_sec" {
-		t.Errorf("jobs_per_sec regression not flagged: %v", v)
-	}
-	for _, viol := range v {
-		if viol.Regression < 0.49 || viol.Regression > 1.01 {
-			t.Errorf("regression magnitude wrong: %+v", viol)
-		}
-		if viol.String() == "" {
-			t.Error("empty violation string")
-		}
-	}
-
-	// An improvement never trips either direction.
-	better := point("campaign", map[string]float64{"jobs_per_sec": 40, "ns_per_gate_eval": 5})
-	if v, _ := Compare(base, better, specs); len(v) != 0 {
-		t.Errorf("improvement flagged as regression: %v", v)
-	}
-}
-
-func TestParseGateSpec(t *testing.T) {
-	g, err := ParseGateSpec("jobs_per_sec:higher:0.1")
-	if err != nil || g.Metric != "jobs_per_sec" || g.Direction != HigherIsBetter || g.Tolerance != 0.1 {
-		t.Errorf("parse = %+v, %v", g, err)
-	}
-	g, err = ParseGateSpec("ns_per_gate_eval:lower")
-	if err != nil || g.Direction != LowerIsBetter || g.Tolerance != 0.25 {
-		t.Errorf("default tolerance = %+v, %v", g, err)
-	}
-	for _, bad := range []string{"", "x", "m:sideways", "m:higher:-1", ":higher"} {
-		if _, err := ParseGateSpec(bad); err == nil {
-			t.Errorf("ParseGateSpec(%q) accepted", bad)
 		}
 	}
 }
@@ -144,54 +39,5 @@ func TestCollectProvenance(t *testing.T) {
 	}
 	if _, err := os.Stat("../../../.git"); err == nil && p.GitCommit == "unknown" {
 		t.Error("provenance did not resolve the repo's git commit")
-	}
-}
-
-// TestMedianBaseline drives Median over a synthetic noisy trajectory:
-// a stable metric with one wild outlier, an even-count metric, and a
-// metric only newer points carry. Gating against the median must
-// tolerate the outlier that newest-point gating would anchor on.
-func TestMedianBaseline(t *testing.T) {
-	if Median(nil) != nil {
-		t.Fatal("Median of an empty trajectory must be nil")
-	}
-	pts := []Result{
-		*point("kernel", map[string]float64{"ns_per_gate_eval": 6.2}),
-		*point("kernel", map[string]float64{"ns_per_gate_eval": 6.4, "jobs_per_sec": 100}),
-		*point("kernel", map[string]float64{"ns_per_gate_eval": 1.1, "jobs_per_sec": 140}), // outlier: lucky quiet run
-		*point("kernel", map[string]float64{"ns_per_gate_eval": 6.3, "jobs_per_sec": 120}),
-		*point("kernel", map[string]float64{"ns_per_gate_eval": 6.5, "jobs_per_sec": 110}),
-	}
-	m := Median(pts)
-	if m.Name != "kernel" {
-		t.Errorf("Name = %q, want newest point's", m.Name)
-	}
-	// Odd count (5 values): the middle of the sorted ns series, not the
-	// 1.1 outlier and not the newest 6.5.
-	if got := m.Metrics["ns_per_gate_eval"]; got != 6.3 {
-		t.Errorf("ns median = %g, want 6.3", got)
-	}
-	// Even count (4 values): mean of the middle two (110, 120).
-	if got := m.Metrics["jobs_per_sec"]; got != 115 {
-		t.Errorf("jobs median = %g, want 115", got)
-	}
-	// A current run 20% above the median must pass a 0.25 gate even
-	// though it is ~6x the outlier the old newest-point baseline would
-	// have used had the outlier been last.
-	cur := point("kernel", map[string]float64{"ns_per_gate_eval": 6.3 * 1.2})
-	specs := []GateSpec{{Metric: "ns_per_gate_eval", Direction: LowerIsBetter, Tolerance: 0.25}}
-	if v, _ := Compare(m, cur, specs); len(v) != 0 {
-		t.Errorf("median baseline tripped on in-tolerance run: %v", v)
-	}
-	if v, _ := Compare(&pts[2], cur, specs); len(v) == 0 {
-		t.Error("sanity: the outlier as baseline should have tripped the same gate")
-	}
-	// Single-point trajectory degrades to that point's metrics.
-	one := Median(pts[:1])
-	if got := one.Metrics["ns_per_gate_eval"]; got != 6.2 {
-		t.Errorf("single-point median = %g, want 6.2", got)
-	}
-	if _, ok := one.Metrics["jobs_per_sec"]; ok {
-		t.Error("single-point median must not invent metrics")
 	}
 }

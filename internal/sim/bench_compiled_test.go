@@ -26,21 +26,11 @@ type benchSetup struct {
 func newBenchSetup(b *testing.B) *benchSetup {
 	b.Helper()
 	n := circuits.ArrayMultiplier(8)
-	patterns := make([]logic.Vector, 64)
-	state := uint64(12345)
-	for k := range patterns {
-		vec := make(logic.Vector, len(n.Inputs))
-		for i := range vec {
-			state = state*2862933555777941757 + 3037000493
-			vec[i] = logic.FromBool(state&(1<<32) != 0)
-		}
-		patterns[k] = vec
-	}
 	good, err := NewPacked(n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := good.LoadPatterns(patterns); err != nil {
+	if err := good.LoadPatterns(benchPatterns(n, 64)); err != nil {
 		b.Fatal(err)
 	}
 	good.Run()
@@ -59,6 +49,23 @@ func newBenchSetup(b *testing.B) *benchSetup {
 		s.ceval += cone.Evals
 	}
 	return s
+}
+
+// benchPatterns draws count pseudo-random input vectors from a fixed
+// LCG stream, so every sub-benchmark sees the same stimulus (the first
+// 64 of a wide block are the narrow fixture's 64).
+func benchPatterns(n *netlist.Netlist, count int) []logic.Vector {
+	patterns := make([]logic.Vector, count)
+	state := uint64(12345)
+	for k := range patterns {
+		vec := make(logic.Vector, len(n.Inputs))
+		for i := range vec {
+			state = state*2862933555777941757 + 3037000493
+			vec[i] = logic.FromBool(state&(1<<32) != 0)
+		}
+		patterns[k] = vec
+	}
+	return patterns
 }
 
 // coneSweepAligned runs one aligned compiled cone pass per fault site.
@@ -86,7 +93,10 @@ func (s *benchSetup) coneSweepInterpreted() int {
 // BenchmarkFaultSimCone. The full-pass pair times one 64-slot good
 // pass; the cone-pass pair times a whole-fault-list incremental sweep
 // (the fault-simulation hot loop). ns_per_gate_eval is the comparable
-// unit across all four. The final sub-benchmark asserts the compiled
+// unit across all of them: compiled-wide runs the same sweep over one
+// 256-pattern block at the production width and counts gate-word evals
+// (cone.Evals x logic.BlockWords), so its number stays directly
+// comparable with the 64-bit sweeps. The final sub-benchmark asserts the compiled
 // cone sweep stays ahead of the interpreted one — the ratio this PR
 // exists to improve — failing if the advantage ever erodes.
 func BenchmarkCompiled(b *testing.B) {
@@ -118,6 +128,30 @@ func BenchmarkCompiled(b *testing.B) {
 		}
 		b.ReportMetric(float64(s.ceval), "gate_evals")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.ceval), "ns_per_gate_eval")
+	})
+	b.Run("cone-pass/compiled-wide", func(b *testing.B) {
+		s := newBenchSetup(b)
+		good, err := NewPackedBlock(s.n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := good.LoadPatterns(benchPatterns(s.n, BlockPatterns)); err != nil {
+			b.Fatal(err)
+		}
+		good.Run()
+		bad := good.Compiled().NewPackedBlock()
+		bad.AlignTo(good)
+		mask := logic.BlockMaskAll()
+		wordEvals := s.ceval * logic.BlockWords
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, site := range s.sites {
+				bad.RunConeAligned(good, s.cones[j], site, &mask)
+			}
+		}
+		b.ReportMetric(float64(wordEvals), "gate_evals")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(wordEvals), "ns_per_gate_eval")
 	})
 	b.Run("cone-pass/interpreted", func(b *testing.B) {
 		s := newBenchSetup(b)
