@@ -64,13 +64,15 @@ func (p BTIParams) DeltaVth(stressDuty, years float64) float64 {
 
 // DelayFactor converts a ΔVth into a relative gate-delay multiplier
 // using the alpha-power law approximation delay ∝ Vdd/(Vdd-Vth)^1.3.
+// A drift that eats the whole overdrive (ΔVth ≥ Vdd−Vth) stops the gate
+// switching: the factor is +Inf. The overdrive is checked before the
+// power, which is NaN for a negative base.
 func (p BTIParams) DelayFactor(dVth float64) float64 {
-	fresh := math.Pow(p.Vdd-p.VthNom, 1.3)
-	aged := math.Pow(p.Vdd-p.VthNom-dVth, 1.3)
-	if aged <= 0 {
+	overdrive := p.Vdd - p.VthNom - dVth
+	if !(overdrive > 0) {
 		return math.Inf(1)
 	}
-	return fresh / aged
+	return math.Pow(p.Vdd-p.VthNom, 1.3) / math.Pow(overdrive, 1.3)
 }
 
 // Recovery models partial BTI relaxation when stress is removed: a

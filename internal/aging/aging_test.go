@@ -54,6 +54,41 @@ func TestDelayFactor(t *testing.T) {
 	}
 }
 
+// TestDelayFactorPastOverdrive pins the divergence: a drift beyond the
+// overdrive used to raise a negative base to 1.3, giving NaN, which
+// AnalyzePaths' max() silently dropped so the slowdown read 0.
+func TestDelayFactorPastOverdrive(t *testing.T) {
+	p := DefaultBTI()
+	over := p.Vdd - p.VthNom
+	for _, d := range []float64{over + 1e-9, over + 0.1, 10, math.Inf(1), math.NaN()} {
+		if f := p.DelayFactor(d); !math.IsInf(f, 1) {
+			t.Errorf("DelayFactor(%v) = %v, want +Inf", d, f)
+		}
+	}
+	// Full stress reaches the overdrive after about 7·10^7 years.
+	if f := p.DelayFactor(p.DeltaVth(1, 1e8)); !math.IsInf(f, 1) {
+		t.Errorf("DelayFactor after 1e8 years = %v, want +Inf", f)
+	}
+	if f := p.DelayFactor(p.DeltaVth(1, 1e7)); math.IsInf(f, 0) || math.IsNaN(f) || f <= 1 {
+		t.Errorf("DelayFactor after 1e7 years = %v, want finite and > 1", f)
+	}
+
+	n := circuits.RippleCarryAdder(8)
+	probs, err := SignalProbabilities(n, faultsim.RandomPatterns(n, 200, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, years := range []float64{1e30, 1e308} {
+		rep, err := AnalyzePaths(n, probs, years, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := rep.Slowdown(); !math.IsInf(s, 1) {
+			t.Errorf("%g-year slowdown = %v, want +Inf", years, s)
+		}
+	}
+}
+
 func TestRecovery(t *testing.T) {
 	if Recovery(0.04, 0.25) != 0.03 {
 		t.Error("recovery arithmetic wrong")

@@ -50,8 +50,12 @@ var hotFuncs = map[string]hotSpec{
 	},
 	"rescue/internal/atpg": {
 		// PODEM's per-decision steps: incremental implication and the
-		// cone-restricted D-frontier and X-path walks.
-		exact: map[string]bool{"imply": true, "dFrontier": true, "xPathExists": true},
+		// cone-restricted D-frontier and X-path walks. Per fault: the
+		// verdict table's slot lookup and fill.
+		exact: map[string]bool{
+			"imply": true, "dFrontier": true, "xPathExists": true,
+			"slot": true, "lookup": true,
+		},
 	},
 }
 

@@ -11,13 +11,15 @@ import (
 	"rescue/internal/obs"
 )
 
-// ATPG instrumentation. PODEM call/backtrack counters are flushed once
-// per round (or per classification pass), and every deterministic round
-// — generation plus the sequential drop pass — records its wall-clock
-// into the round-latency histogram.
+// ATPG instrumentation. The search counters count searches actually
+// run; a verdict served from the verdict table counts as a hit instead.
+// They are flushed once per round (or per classification pass), and
+// every deterministic round — generation plus the sequential drop pass
+// — records its wall-clock into the round-latency histogram.
 var (
 	obsPODEMCalls   = obs.NewCounter("atpg_podem_calls_total", "Deterministic PODEM searches performed.")
 	obsBacktracks   = obs.NewCounter("atpg_backtracks_total", "PODEM backtracks across all searches.")
+	obsVerdictHits  = obs.NewCounter("atpg_verdict_hits_total", "PODEM verdicts served from the per-view verdict table without a search.")
 	obsRoundSeconds = obs.NewHistogram("atpg_round_seconds", "Wall-clock of one deterministic test-and-drop round (generation + drop).", obs.DurationBuckets)
 )
 
@@ -131,10 +133,13 @@ type Result struct {
 	// included in PODEMCalls) but whose vector was discarded because an
 	// earlier vector of the same round already detected them.
 	DiscardedTests int
-	// PODEMCalls counts deterministic-phase Generate invocations — the
-	// figure test-and-drop exists to shrink.
+	// PODEMCalls counts deterministic-phase PODEM targets — the figure
+	// test-and-drop exists to shrink. A target whose verdict the view's
+	// verdict table already held counts as if searched, so the figure
+	// does not depend on what ran earlier in the process.
 	PODEMCalls int
-	// Backtracks accumulates PODEM backtracks across all targets.
+	// Backtracks accumulates PODEM backtracks across all targets, as
+	// recorded by their searches.
 	Backtracks int
 	// SimGateEvals is the exact fault-simulation cost of the flow (random
 	// bootstrap, test-and-drop, compaction and final verification), in
@@ -284,20 +289,24 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		return nil
 	}
 
+	table, err := verdictsFor(n, opt.PODEM)
+	if err != nil {
+		return err
+	}
+	var tally searchTally
+	defer tally.flush()
+
 	if opt.NoDrop {
 		eng, err := NewEngine(n, opt.PODEM)
 		if err != nil {
 			return err
 		}
-		defer func() {
-			obsPODEMCalls.Add(int64(res.PODEMCalls))
-			obsBacktracks.Add(int64(res.Backtracks))
-		}()
 		for _, fi := range pending {
-			g, err := safeGenerate(eng, faults[fi])
+			g, err := table.lookup(eng, faults[fi])
 			if err != nil {
 				return err
 			}
+			tally.add(g)
 			res.PODEMCalls++
 			res.Backtracks += g.backtracks
 			switch g.out {
@@ -338,7 +347,6 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 	queue := pending
 	for len(queue) > 0 {
 		span := obs.StartSpan(obsRoundSeconds)
-		callsBefore, backtracksBefore := res.PODEMCalls, res.Backtracks
 		round = round[:0]
 		for len(queue) > 0 && len(round) < roundSize {
 			fi := queue[0]
@@ -354,11 +362,12 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		if len(round) == 0 {
 			return nil
 		}
-		if err := generateRound(engines, faults, round, gens); err != nil {
+		if err := generateRound(table, engines, faults, round, gens); err != nil {
 			return err
 		}
 		for ri, fi := range round {
 			g := gens[ri]
+			tally.add(g)
 			res.PODEMCalls++
 			res.Backtracks += g.backtracks
 			if sess.StatusOf(fi) == fault.Detected {
@@ -390,19 +399,40 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 				sess.Exclude(fi)
 			}
 		}
-		obsPODEMCalls.Add(int64(res.PODEMCalls - callsBefore))
-		obsBacktracks.Add(int64(res.Backtracks - backtracksBefore))
+		tally.flush()
 		span.End()
 	}
 	return nil
 }
 
 // podemResult carries one speculative Generate outcome from a worker to
-// the sequential drop pass.
+// the sequential drop pass. searched is false when the verdict table
+// served it.
 type podemResult struct {
 	vec        logic.Vector
 	out        Outcome
 	backtracks int
+	searched   bool
+}
+
+// searchTally splits a pass's verdicts into searches run and table hits
+// for one flush to the obs counters.
+type searchTally struct{ searches, backtracks, hits int64 }
+
+func (s *searchTally) add(g podemResult) {
+	if g.searched {
+		s.searches++
+		s.backtracks += int64(g.backtracks)
+	} else {
+		s.hits++
+	}
+}
+
+func (s *searchTally) flush() {
+	obsPODEMCalls.Add(s.searches)
+	obsBacktracks.Add(s.backtracks)
+	obsVerdictHits.Add(s.hits)
+	*s = searchTally{}
 }
 
 // safeGenerate runs one PODEM search with the campaign engine's
@@ -419,11 +449,12 @@ func safeGenerate(e *Engine, f fault.Fault) (g podemResult, err error) {
 	return podemResult{vec: vec, out: out, backtracks: e.Backtracks()}, nil
 }
 
-// generateRound fills gens[i] for every round[i], fanning the targets
-// over the engine pool. Workers pull target indices from a channel;
-// which worker serves which target never affects the result, because
-// Generate is deterministic and engines carry no state between calls.
-func generateRound(engines []*Engine, faults fault.List, round []int, gens []podemResult) error {
+// generateRound fills gens[i] for every round[i] from the verdict
+// table, fanning the misses over the engine pool. Workers pull target
+// indices from a channel; which worker serves which target never
+// affects the result, because Generate is deterministic and engines
+// carry no state between calls.
+func generateRound(table *verdictTable, engines []*Engine, faults fault.List, round []int, gens []podemResult) error {
 	workers := len(engines)
 	if workers > len(round) {
 		workers = len(round)
@@ -431,7 +462,7 @@ func generateRound(engines []*Engine, faults fault.List, round []int, gens []pod
 	if workers <= 1 {
 		e := engines[0]
 		for ri, fi := range round {
-			g, err := safeGenerate(e, faults[fi])
+			g, err := table.lookup(e, faults[fi])
 			if err != nil {
 				return err
 			}
@@ -448,7 +479,7 @@ func generateRound(engines []*Engine, faults fault.List, round []int, gens []pod
 			defer wg.Done()
 			e := engines[w]
 			for ri := range idx {
-				g, err := safeGenerate(e, faults[round[ri]])
+				g, err := table.lookup(e, faults[round[ri]])
 				if err != nil {
 					errs[w] = err
 					continue
@@ -522,38 +553,50 @@ func compactOnSession(sess *faultsim.Session, tests []logic.Vector) ([]logic.Vec
 }
 
 // Classification is the outcome of a PODEM testability pass over a fault
-// list, with its search cost. It is the single engine-allocation path
-// shared by IdentifyUntestable and fusa.CrossCheck, so untestable-fault
+// list, with its search cost. ClassifyFaults is the single path shared
+// by IdentifyUntestable and fusa.CrossCheck, so untestable-fault
 // classification cost is measured once and reported everywhere.
 type Classification struct {
 	// Outcomes is parallel to the fault list; non-stuck-at faults report
 	// NotApplicable without a search.
 	Outcomes []Outcome
-	// Calls counts actual PODEM searches (NotApplicable excluded).
+	// Calls counts the stuck-at faults classified (NotApplicable
+	// excluded), whether searched now or served from the verdict table.
 	Calls int
-	// Backtracks totals PODEM backtracks across all searches — the cost
-	// figure surfaced by timing outputs.
+	// Backtracks totals the PODEM backtracks of those faults' searches —
+	// the cost figure surfaced by timing outputs.
 	Backtracks int
 }
 
-// ClassifyFaults runs PODEM over every fault on one shared engine and
-// returns the per-fault outcomes with the accumulated search cost.
+// ClassifyFaults classifies every fault through the view's verdict
+// table, searching on one engine only the sites no earlier caller
+// searched, and returns the per-fault outcomes with their search cost.
 func ClassifyFaults(n *netlist.Netlist, faults fault.List, opt Options) (*Classification, error) {
+	table, err := verdictsFor(n, opt)
+	if err != nil {
+		return nil, err
+	}
 	eng, err := NewEngine(n, opt)
 	if err != nil {
 		return nil, err
 	}
 	c := &Classification{Outcomes: make([]Outcome, len(faults))}
+	var tally searchTally
+	defer tally.flush()
 	for i, f := range faults {
-		_, c.Outcomes[i] = eng.Generate(f)
-		if c.Outcomes[i] == NotApplicable {
+		if f.Kind != fault.StuckAt {
+			c.Outcomes[i] = NotApplicable
 			continue
 		}
+		g, err := table.lookup(eng, f)
+		if err != nil {
+			return nil, err
+		}
+		tally.add(g)
+		c.Outcomes[i] = g.out
 		c.Calls++
-		c.Backtracks += eng.Backtracks()
+		c.Backtracks += g.backtracks
 	}
-	obsPODEMCalls.Add(int64(c.Calls))
-	obsBacktracks.Add(int64(c.Backtracks))
 	return c, nil
 }
 

@@ -133,10 +133,7 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 		frontier: make([]int, 0, ng),
 		seen:     make([]uint32, ng),
 		walk:     make([]int32, 0, ng),
-		limit:    opt.BacktrackLimit,
-	}
-	if e.limit <= 0 {
-		e.limit = DefaultBacktrackLimit
+		limit:    opt.limit(),
 	}
 	for i, id := range n.Inputs {
 		e.piGate[i] = int32(id)

@@ -94,6 +94,7 @@ func TestExpandAdmissionCeilings(t *testing.T) {
 	}
 	for name, m := range map[string]Matrix{
 		"patterns":      {Circuits: []string{"c17"}, Patterns: 1 << 40},
+		"years":         {Circuits: []string{"c17"}, Years: 1e30},
 		"cross product": {Circuits: circs, Environments: envs},
 		"shards":        {Circuits: circs, Shards: 1 << 20, ShardThreshold: 1},
 	} {
@@ -126,6 +127,34 @@ func TestExpandAdmissionCeilings(t *testing.T) {
 	}
 	if _, err := (Matrix{Circuits: []string{"c17"}, Patterns: MaxPatterns}).Expand(); err != nil {
 		t.Errorf("patterns at MaxPatterns rejected: %v", err)
+	}
+	if _, err := (Matrix{Circuits: []string{"c17"}, Years: MaxYears}).Expand(); err != nil {
+		t.Errorf("years at MaxYears rejected: %v", err)
+	}
+	if _, err := (Matrix{Circuits: []string{"c17"}, Years: math.Nextafter(MaxYears, 2*MaxYears)}).Expand(); err == nil {
+		t.Error("years just above MaxYears admitted")
+	}
+}
+
+// TestMaxYearsStaysFinite runs every registry circuit's reliability
+// stage at the MaxYears horizon: the aging slowdown must stay a finite
+// figure above 1, the model range MaxYears was chosen inside.
+func TestMaxYearsStaysFinite(t *testing.T) {
+	sum, err := Run(context.Background(), Matrix{
+		Circuits: circuits.Names(), Scenarios: []Scenario{ScenarioReliability},
+		Patterns: 16, Years: MaxYears, Seed: 1,
+	}, Config{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sum.Results {
+		if r.Err != "" {
+			t.Fatalf("%s: %s", r.Job.Name(), r.Err)
+		}
+		s := r.Report.Reliability.AgingSlowdown
+		if math.IsInf(s, 0) || math.IsNaN(s) || s <= 1 {
+			t.Errorf("%s: aging slowdown at %d years = %v, want finite and > 1", r.Job.Name(), MaxYears, s)
+		}
 	}
 }
 

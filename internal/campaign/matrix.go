@@ -128,16 +128,22 @@ type Matrix struct {
 // ShardThreshold zero.
 const DefaultShardThreshold = 512
 
-// Admission ceilings. Expand rejects a matrix above either one before
+// Admission ceilings. Expand rejects a matrix above any one before
 // allocating anything that scales with it, so a hostile or mistyped
-// spec cannot make the engine or the server allocate without bound.
-// Both sit at 16x or more the largest matrix the repository itself
-// runs (4096 patterns per job; about a thousand jobs).
+// spec cannot make the engine or the server allocate without bound or
+// report a meaningless figure. Each sits at 16x or more the largest
+// matrix the repository itself runs (4096 patterns per job; about a
+// thousand jobs; a 10-year aging horizon).
 const (
 	// MaxPatterns caps Matrix.Patterns, the vectors each job draws.
 	MaxPatterns = 1 << 16
 	// MaxJobs caps the number of jobs one matrix expands into.
 	MaxJobs = 1 << 16
+	// MaxYears caps Matrix.Years, the aging horizon. The BTI model's
+	// delay factor diverges once the drift eats the whole overdrive,
+	// about 7·10^7 years under full stress; at MaxYears the worst drift
+	// is about 0.1 V of the 0.65 V overdrive, so the slowdown is finite.
+	MaxYears = 1000
 )
 
 // Job is one cell of the expanded matrix. Its seed is derived from the
@@ -202,6 +208,9 @@ func (m Matrix) Expand() ([]Job, error) {
 	}
 	if m.Years < 0 || math.IsNaN(m.Years) || math.IsInf(m.Years, 0) {
 		return nil, fmt.Errorf("campaign: years must be finite and non-negative, got %v", m.Years)
+	}
+	if m.Years > MaxYears {
+		return nil, fmt.Errorf("campaign: years (%v) exceeds the limit of %d", m.Years, MaxYears)
 	}
 	envs := m.Environments
 	if len(envs) == 0 {

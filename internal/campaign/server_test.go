@@ -501,6 +501,9 @@ func TestServerCancelRunning(t *testing.T) {
 // hugePatternsBody asks for 2^40 patterns per job.
 const hugePatternsBody = `{"circuits":["c17"],"patterns":1099511627776}`
 
+// hugeYearsBody asks for an aging horizon far past MaxYears.
+const hugeYearsBody = `{"circuits":["c17"],"scenarios":["reliability"],"years":1e30}`
+
 // crossProductBody lists c17 and LEO n times each. Duplicates are
 // legal, so the body asks for n*n jobs; at n = 80000 it still fits
 // under maxSubmitBytes.
@@ -529,6 +532,8 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		// Within the byte cap but over an admission ceiling.
 		{"huge patterns", hugePatternsBody, http.StatusBadRequest},
 		{"huge cross product", crossProductBody(80_000), http.StatusBadRequest},
+		// Past the BTI model's range the slowdown used to read 0.
+		{"huge years", hugeYearsBody, http.StatusBadRequest},
 		// A misspelt field must not silently run at the default.
 		{"unknown field", `{"circuits":["c17"],"pattern":4096}`, http.StatusBadRequest},
 		{"second object", valid + valid, http.StatusBadRequest},
@@ -586,6 +591,7 @@ func FuzzSubmit(f *testing.F) {
 		``,
 		hugePatternsBody,
 		crossProductBody(300),
+		hugeYearsBody,
 	} {
 		f.Add([]byte(seed))
 	}

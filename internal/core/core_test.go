@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rescue/internal/atpg"
 	"rescue/internal/circuits"
 	"rescue/internal/fault"
 	"rescue/internal/netlist"
@@ -203,5 +204,37 @@ func TestRunStagesSelective(t *testing.T) {
 	cancel()
 	if _, err := RunStages(ctx, cfg, StageQuality); err == nil {
 		t.Error("cancelled context must abort before the first stage")
+	}
+}
+
+// TestRunStagesWarmVerdictsMatchCold runs the whole flow over netlists
+// whose PODEM verdict table an earlier classification or an earlier
+// flow (another seed) already filled, and checks each report equals
+// the one from a fresh netlist: shared verdicts never change a result.
+func TestRunStagesWarmVerdictsMatchCold(t *testing.T) {
+	for _, name := range []string{"alu8", "prienc8"} {
+		primed := circuits.Registry[name]()
+		if _, err := atpg.ClassifyFaults(primed, fault.Collapse(primed, fault.AllStuckAt(primed)), atpg.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		chained := circuits.Registry[name]()
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := func(n *netlist.Netlist) FlowConfig {
+				return FlowConfig{Netlist: n, Environment: seu.SeaLevel, Technology: seu.Node28, Years: 10, Patterns: 32, Seed: seed}
+			}
+			cold, err := RunStages(context.Background(), cfg(circuits.Registry[name]()), AllStages()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []*netlist.Netlist{primed, chained} {
+				warm, err := RunStages(context.Background(), cfg(n), AllStages()...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(warm, cold) {
+					t.Errorf("%s seed %d: warm report\n %+v\ncold\n %+v", name, seed, warm, cold)
+				}
+			}
+		}
 	}
 }

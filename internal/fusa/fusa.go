@@ -9,6 +9,7 @@ package fusa
 
 import (
 	"fmt"
+	"slices"
 
 	"rescue/internal/atpg"
 	"rescue/internal/fault"
@@ -254,14 +255,19 @@ type CrossCheckReport struct {
 //     means the FI pattern set missed a real violation path: the verdict
 //     is unsound (insufficient patterns or a tool bug).
 //
-// The classification runs through atpg.ClassifyFaults — the same engine
-// allocation path as IdentifyUntestable — so both tools share one PODEM
-// setup per netlist view and report comparable backtrack costs.
+// The classification runs through atpg.ClassifyFaults — the same
+// verdict table as IdentifyUntestable and the quality stage's test
+// generation — so a view's verdicts are searched once and both tools
+// report comparable backtrack costs.
 func CrossCheck(sc *SafetyCircuit, faults fault.List, classes []FaultClass, opt atpg.Options) (*CrossCheckReport, error) {
-	// Build a view whose outputs are only the functional ones, so PODEM
-	// reasons about safety-goal observability.
-	view := sc.N.Clone()
-	view.Outputs = append([]int(nil), sc.FunctionalOutputs...)
+	// PODEM must reason about safety-goal observability: when a safety
+	// mechanism splits the outputs, classify on a clone that observes
+	// only the functional ones.
+	view := sc.N
+	if !slices.Equal(sc.FunctionalOutputs, sc.N.Outputs) {
+		view = sc.N.Clone()
+		view.Outputs = append([]int(nil), sc.FunctionalOutputs...)
+	}
 	cls, err := atpg.ClassifyFaults(view, faults, opt)
 	if err != nil {
 		return nil, err

@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"rescue/internal/atpg"
+	"rescue/internal/circuits"
 	"rescue/internal/fault"
 	"rescue/internal/faultsim"
 	"rescue/internal/logic"
 	"rescue/internal/netlist"
+	"rescue/internal/obs"
 )
 
 // dupCircuit builds a duplicated cone with an XOR comparator — the
@@ -238,6 +240,61 @@ func TestCrossCheckFindsSeededMisclassifications(t *testing.T) {
 	}
 	if len(cc.Suspicions) != 1 || cc.Suspicions[0].FaultIndex != 1 {
 		t.Errorf("expected exactly fault 1 flagged, got %+v", cc.Suspicions)
+	}
+}
+
+// TestCrossCheckSharesOrSplitsTheView checks which PODEM verdicts the
+// cross-check reuses. With a safety mechanism the functional view is a
+// clone observing fewer outputs: verdicts already searched on the full
+// netlist (where the shadow logic is observable at the alarm) must not
+// leak into it, so its outcomes equal a fresh search on the split view.
+// Without one the cross-check classifies the netlist itself and shares
+// its verdicts with every other classification of it.
+func TestCrossCheckSharesOrSplitsTheView(t *testing.T) {
+	sc, err := Duplicate(circuits.RippleCarryAdder(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.Collapse(sc.N, fault.AllStuckAt(sc.N))
+	full, err := atpg.ClassifyFaults(sc.N, faults, atpg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := CrossCheck(sc, faults, make([]FaultClass, len(faults)), atpg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := sc.N.Clone()
+	split.Outputs = append([]int(nil), sc.FunctionalOutputs...)
+	eng, err := atpg.NewEngine(split, atpg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := 0
+	for i, f := range faults {
+		if _, want := eng.Generate(f); cc.Outcomes[i] != want {
+			t.Errorf("%v: split-view cross-check %v, fresh search %v", f, cc.Outcomes[i], want)
+		}
+		if cc.Outcomes[i] != full.Outcomes[i] {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Error("no fault is observable only at the alarm: the split is not exercised")
+	}
+
+	plain := &SafetyCircuit{N: circuits.RippleCarryAdder(4)}
+	plain.FunctionalOutputs = plain.N.Outputs
+	pf := fault.Collapse(plain.N, fault.AllStuckAt(plain.N))
+	if _, err := CrossCheck(plain, pf, make([]FaultClass, len(pf)), atpg.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	before := obs.Default.Snapshot()["atpg_podem_calls_total"]
+	if _, err := atpg.ClassifyFaults(plain.N, pf, atpg.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if d := obs.Default.Snapshot()["atpg_podem_calls_total"] - before; d != 0 {
+		t.Errorf("classifying after an unsplit cross-check ran %v searches, want 0", d)
 	}
 }
 

@@ -219,13 +219,19 @@ func (n *Netlist) invalidateCones() {
 	n.artifactMu.Unlock()
 }
 
-// Artifact memoises an immutable derived structure on the netlist under
-// the given key, building it on first use. Like the cone cache, the
-// artifact cache is dropped on any structural mutation (AddGate,
-// AddInput, MarkOutput), so a cached artifact always describes the
-// current circuit. Higher layers use it to share expensive compilations
-// (e.g. the packed simulator's compiled machine) across every simulator,
-// session and campaign job over one netlist.
+// Artifact memoises a derived structure on the netlist under the given
+// key, building it on first use. Like the cone cache, the artifact cache
+// is dropped on any structural mutation (AddGate, AddInput, MarkOutput),
+// so a cached artifact always describes the current circuit. Higher
+// layers use it to share expensive compilations (e.g. the packed
+// simulator's compiled machine) across every simulator, session and
+// campaign job over one netlist.
+//
+// An artifact is either immutable once built or a table of slots that
+// are filled lazily, each written at most once under its own
+// synchronisation and read-only afterwards (e.g. ATPG's per-fault PODEM
+// verdicts). Either way every reader sees one value per slot for the
+// artifact's lifetime.
 //
 // The build function runs with the cache mutex held, so concurrent
 // callers of the same key share one build; it must not call Artifact
